@@ -18,13 +18,13 @@ import (
 type VMBenchEntry struct {
 	// Name identifies the benchmark variant, e.g. "StepLoop".
 	Name string `json:"name"`
-	// Dispatch is the dispatch engine measured: "threaded" (per-page
-	// handler tables with fused superinstructions) or "switch" (the
-	// per-step switch interpreter).
+	// Dispatch is the dispatch driver measured: "threaded" (per-page
+	// dispatch tables with fused pairs and inline micro-ops) or "switch"
+	// (the per-step reference driver).
 	Dispatch string `json:"dispatch"`
 	// Cache records whether the predecoded instruction cache was on
-	// (false is the -nocache differential path, standing in for the
-	// decode-every-step interpreter; it always dispatches by switch).
+	// (false is the uncached differential path, standing in for the
+	// decode-every-step interpreter; it always runs the reference driver).
 	Cache bool `json:"cache"`
 	// Insts is the total number of guest instructions executed.
 	Insts uint64 `json:"insts"`

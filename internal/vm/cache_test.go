@@ -27,7 +27,7 @@ func sameResult(a, b vm.Result) bool {
 
 // TestCacheIdentity proves the decode-once engine is invisible: for every
 // workload and every seed in the matrix, a run with the predecoded
-// instruction cache and a -nocache run produce byte-identical Results
+// instruction cache and an uncached run produce byte-identical Results
 // (exit code, cycles, instruction count, output, fault).
 func TestCacheIdentity(t *testing.T) {
 	for _, w := range workloads.All() {

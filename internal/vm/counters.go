@@ -159,9 +159,9 @@ var opSpillable = func() [mx.NumOps]bool {
 	return t
 }()
 
-// count accounts one retired instruction (the stepThread hook). Both
-// dispatch engines call it with the decoded instruction, so engine choice
-// never changes a counter value (TestDispatchIdentity).
+// count accounts one retired instruction (the reference driver's hook;
+// Run sends every counter-enabled run there, so the dispatch mode never
+// changes a counter value — TestDispatchIdentity).
 func (c *Counters) count(tid int, inst *mx.Inst) {
 	op := inst.Op
 	c.Insts++
@@ -270,8 +270,7 @@ func (s *CounterSink) Snapshot() *Counters {
 
 // CounterSinkDefault, when set before machines are created (polybench
 // -metrics does this once at startup), enables counters on every new Machine
-// and absorbs each machine's totals into the sink when its Run returns —
-// the same machine-wide seam NoCacheDefault uses for the predecode cache.
+// and absorbs each machine's totals into the sink when its Run returns.
 var CounterSinkDefault *CounterSink
 
 // EnableCounters turns on machine counters for this machine and returns the

@@ -1,24 +1,22 @@
 package vm
 
-import "fmt"
-
-// DispatchMode selects the interpreter's dispatch engine.
-//
-// The two engines are architecturally identical by contract: same results,
-// same faults, same cycle/instruction totals, same Counters, same scheduler
-// interleavings at every seed. TestDispatchIdentity and the randomized
-// differential in fuzz_test.go pin that contract.
+// DispatchMode selects the interpreter's dispatch driver. Both drivers
+// execute every instruction through the one handler table (opHandlers,
+// step.go), so they are architecturally identical by contract: same
+// results, same faults, same cycle/instruction totals, same Counters, same
+// scheduler interleavings at every seed. TestDispatchIdentity and the
+// randomized differential in fuzz_test.go pin that contract.
 type DispatchMode uint8
 
 const (
 	// DispatchThreaded executes threaded code over predecoded pages: each
-	// page carries a per-offset handler table (fused superinstructions
-	// included) compiled lazily on first execution, and straight-line runs
-	// of simple instructions retire with block-level accounting. The
-	// default engine.
+	// page carries a per-offset dispatch table (fused pairs and inline
+	// micro-ops included) compiled lazily on first execution, and
+	// straight-line runs of simple instructions retire with block-level
+	// accounting. Every machine starts with it.
 	DispatchThreaded DispatchMode = iota
-	// DispatchSwitch is the classic one-switch-per-step interpreter
-	// (stepThread), kept as the escape hatch and differential oracle.
+	// DispatchSwitch runs the per-step reference driver (stepThread), the
+	// differential oracle for the threaded driver.
 	DispatchSwitch
 )
 
@@ -29,26 +27,7 @@ func (d DispatchMode) String() string {
 	return "threaded"
 }
 
-// ParseDispatchMode parses a -dispatch flag value.
-func ParseDispatchMode(s string) (DispatchMode, error) {
-	switch s {
-	case "threaded":
-		return DispatchThreaded, nil
-	case "switch":
-		return DispatchSwitch, nil
-	}
-	return DispatchThreaded, fmt.Errorf("unknown dispatch mode %q (want threaded or switch)", s)
-}
-
-// DispatchDefault is the engine new machines start with (set once at startup
-// by the -dispatch flag; individual machines can still be switched with
-// SetDispatch before Run).
-var DispatchDefault = DispatchThreaded
-
-// SetDispatch selects this machine's dispatch engine. Call before Run.
+// SetDispatch selects this machine's dispatch driver (tests and
+// benchmarks). Call before Run. Uncached machines (DisableCache) and
+// counter-enabled runs always use the reference driver.
 func (m *Machine) SetDispatch(d DispatchMode) { m.dispatch = d }
-
-// Dispatch reports the machine's dispatch engine. Note that -nocache
-// execution always decodes and dispatches per step regardless of mode
-// (threaded dispatch is a property of predecoded pages).
-func (m *Machine) Dispatch() DispatchMode { return m.dispatch }

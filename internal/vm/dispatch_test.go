@@ -6,24 +6,31 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/image"
 	"repro/internal/mx"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
-// dispatchModes is the engine matrix for differential dispatch testing.
+// dispatchModes is the driver matrix for differential dispatch testing.
 var dispatchModes = []vm.DispatchMode{vm.DispatchSwitch, vm.DispatchThreaded}
 
-// TestDispatchIdentity proves the threaded engine is invisible: for every
-// workload and every scheduler seed, switch and threaded dispatch produce
-// identical Results (exit code, cycles, instruction count, output, fault).
-// With machine counters enabled the full Counters snapshot must also match
-// bit for bit — instruction totals, op-class histogram, preemptions, cache
-// and TLB attribution, per-thread cycles — which pins the block-level
-// accounting and the fused-pair/budget interactions to the per-step oracle.
-// The counters-off leg exercises the uninstrumented fast path (inline
-// micro-ops, flat runs, promoted control flow), the counters-on leg the
-// eager counted path.
+// TestDispatchIdentity proves the threaded driver is invisible: for every
+// workload and every scheduler seed, switch (reference) and threaded
+// dispatch produce identical Results (exit code, cycles, instruction count,
+// output, fault), counters off and on. The counters-off leg exercises the
+// threaded fast path (inline micro-ops, flat runs, fused pairs, promoted
+// control flow); counter-enabled runs take the reference driver under either
+// mode, so that leg pins that enabling counters never perturbs execution and
+// that the Counters snapshot — instruction totals, op-class histogram,
+// preemptions, cache and TLB attribution, per-thread cycles — does not
+// depend on the mode.
+//
+// Beyond the native workloads, the matrix covers Table 5's recovered CKit
+// images — traced, callback-pruned Polynima recompiles of every spinlock —
+// for the TSO target and for the weakly-ordered mx64w, whose machines run
+// the store buffer on both drivers.
 func TestDispatchIdentity(t *testing.T) {
 	for _, w := range workloads.All() {
 		w := w
@@ -33,33 +40,139 @@ func TestDispatchIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, seed := range identitySeeds {
+			checkDispatchIdentity(t, w, img)
+		})
+	}
+	for _, target := range []string{"mx64", "mx64w"} {
+		target := target
+		t.Run("recovered_"+target, func(t *testing.T) {
+			for _, w := range workloads.CKit() {
+				w := w
+				t.Run(w.Name, func(t *testing.T) {
+					t.Parallel()
+					checkDispatchIdentity(t, w, recoverCKit(t, w, target))
+				})
+			}
+		})
+	}
+}
+
+// recoverCKit builds Table 5's recovered image of a CKit lock: the -O2
+// binary traced on its input, callback-pruned, and recompiled for target.
+func recoverCKit(t *testing.T, w *workloads.Workload, target string) *image.Image {
+	t.Helper()
+	img, err := w.Compile(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Target = target
+	p, err := core.NewProject(img, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Trace([]core.Input{w.Input()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PruneCallbacks([]core.Input{w.Input()}); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := p.Recompile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mx.TargetByName(target).MachineMode; rec.Machine != want {
+		t.Fatalf("recovered image machine %q, want %q", rec.Machine, want)
+	}
+	return rec
+}
+
+// checkDispatchIdentity runs img on w's input under both dispatch modes,
+// counters off and on, at every identity seed.
+func checkDispatchIdentity(t *testing.T, w *workloads.Workload, img *image.Image) {
+	t.Helper()
+	for _, seed := range identitySeeds {
+		in := w.Input()
+		exec := func(mode vm.DispatchMode, counted bool) (vm.Result, *vm.Counters) {
+			m, err := vm.NewWithExts(img, seed, in.Exts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in.Data != nil {
+				m.SetInput(in.Data)
+			}
+			m.SetDispatch(mode)
+			var c *vm.Counters
+			if counted {
+				c = m.EnableCounters()
+			}
+			return m.Run(bench.Fuel), c
+		}
+		sw, _ := exec(vm.DispatchSwitch, false)
+		th, _ := exec(vm.DispatchThreaded, false)
+		swc, swCtr := exec(vm.DispatchSwitch, true)
+		thc, thCtr := exec(vm.DispatchThreaded, true)
+		if !sameResult(sw, th) {
+			t.Fatalf("seed %d: dispatch modes diverge:\n  switch:   %+v\n  threaded: %+v", seed, sw, th)
+		}
+		if !sameResult(sw, swc) || !sameResult(sw, thc) {
+			t.Fatalf("seed %d: enabling counters perturbs execution:\n  off:               %+v\n  on (switch):       %+v\n  on (threaded):     %+v",
+				seed, sw, swc, thc)
+		}
+		if !reflect.DeepEqual(swCtr, thCtr) {
+			t.Fatalf("seed %d: counters diverge:\n  switch:   %+v\n  threaded: %+v", seed, swCtr, thCtr)
+		}
+	}
+}
+
+// TestStackFaultPC pins fault attribution for the stack ops: with RSP in an
+// unmapped page, a PUSH, POP, CALL, CALLR or RET faults at its own address
+// (not its fallthrough), under both dispatch modes, counters off and on.
+func TestStackFaultPC(t *testing.T) {
+	ops := []struct {
+		name string
+		emit func(b *asm.Builder)
+	}{
+		{"push", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.PUSH, Dst: mx.RAX}) }},
+		{"pop", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.POP, Dst: mx.RAX}) }},
+		{"call", func(b *asm.Builder) { b.Call("leaf") }},
+		{"callr", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.CALLR, Dst: mx.RCX}) }},
+		{"ret", func(b *asm.Builder) { b.Ret() }},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			b := asm.NewBuilder("stackfault")
+			b.Entry("main")
+			b.Label("main")
+			b.MovSym(mx.RCX, "leaf")
+			b.MovRI(mx.RSP, 0x10) // page 0 is never mapped
+			b.Label("site")
+			op.emit(b)
+			b.MovRI(mx.RDI, 0)
+			b.CallExt("exit")
+			b.Label("leaf")
+			b.Ret()
+			img, syms, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range dispatchModes {
 				for _, counted := range []bool{false, true} {
-					in := w.Input()
-					exec := func(mode vm.DispatchMode) (vm.Result, *vm.Counters) {
-						m, err := vm.NewWithExts(img, seed, in.Exts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if in.Data != nil {
-							m.SetInput(in.Data)
-						}
-						m.SetDispatch(mode)
-						var c *vm.Counters
-						if counted {
-							c = m.EnableCounters()
-						}
-						return m.Run(bench.Fuel), c
+					m, err := vm.New(img, 1)
+					if err != nil {
+						t.Fatal(err)
 					}
-					sw, swc := exec(vm.DispatchSwitch)
-					th, thc := exec(vm.DispatchThreaded)
-					if !sameResult(sw, th) {
-						t.Fatalf("seed %d counted=%v: dispatch engines diverge:\n  switch:   %+v\n  threaded: %+v",
-							seed, counted, sw, th)
+					m.SetDispatch(mode)
+					if counted {
+						m.EnableCounters()
 					}
-					if counted && !reflect.DeepEqual(swc, thc) {
-						t.Fatalf("seed %d: counters diverge:\n  switch:   %+v\n  threaded: %+v",
-							seed, swc, thc)
+					res := m.Run(1_000_000)
+					if res.Fault == nil {
+						t.Fatalf("%v counted=%v: no fault; exit=%d", mode, counted, res.ExitCode)
+					}
+					if res.Fault.PC != syms["site"] {
+						t.Fatalf("%v counted=%v: fault %q at %#x, want the %s at %#x",
+							mode, counted, res.Fault.Reason, res.Fault.PC, op.name, syms["site"])
 					}
 				}
 			}
@@ -161,19 +274,22 @@ func TestDispatchFlatRunSelfPatch(t *testing.T) {
 // thousands of iterations the step budget expires at every phase of the body
 // — in particular between a flag setter and its branch, where the threaded
 // engine must retire exactly one instruction via the unfused handler rather
-// than let a superinstruction overrun the slice. Any overrun shifts every
-// later preemption boundary and shows up as diverging Counters.
+// than let a fused pair overrun the slice. Any overrun shifts every later
+// preemption boundary, which the printed checksum observes: each iteration
+// draws a ticket from a shared counter and adds it, weighted by the
+// thread's argument (1 or 3), to the thread's total.
 func TestDispatchFusedPairsAtSliceBoundaries(t *testing.T) {
 	img := build(t, func(b *asm.Builder) {
 		b.BSS("sum", 8)
+		b.BSS("ticket", 8)
 		b.Entry("main")
 		b.Label("main")
 		b.MovSym(mx.RDI, "w")
-		b.MovRI(mx.RSI, 0)
+		b.MovRI(mx.RSI, 1)
 		b.CallExt("thread_create")
 		b.MovRR(mx.R13, mx.RAX)
 		b.MovSym(mx.RDI, "w")
-		b.MovRI(mx.RSI, 0)
+		b.MovRI(mx.RSI, 3)
 		b.CallExt("thread_create")
 		b.MovRR(mx.R14, mx.RAX)
 		b.MovRR(mx.RDI, mx.R13)
@@ -182,13 +298,21 @@ func TestDispatchFusedPairsAtSliceBoundaries(t *testing.T) {
 		b.CallExt("thread_join")
 		b.MovSym(mx.RBX, "sum")
 		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RDI, Base: mx.RBX})
+		b.CallExt("print_i64")
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RDI, Base: mx.RBX})
 		b.I(mx.Inst{Op: mx.ANDRI, Dst: mx.RDI, Imm: 255})
 		b.CallExt("exit")
 
 		b.Label("w")
+		b.MovSym(mx.R10, "ticket")
+		b.MovRI(mx.R11, 0)
 		b.MovRI(mx.R12, 0)
 		b.MovRI(mx.RAX, 0)
 		b.Label("wl")
+		b.MovRI(mx.R9, 1)
+		b.I(mx.Inst{Op: mx.LOCKXADD, Dst: mx.R9, Base: mx.R10})
+		b.I(mx.Inst{Op: mx.IMULRR, Dst: mx.R9, Src: mx.RDI})
+		b.I(mx.Inst{Op: mx.ADDRR, Dst: mx.R11, Src: mx.R9})
 		b.I(mx.Inst{Op: mx.TESTRR, Dst: mx.R12, Src: mx.R12})
 		b.Jcc(mx.CondS, "s1") // never taken: r12 stays non-negative
 		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.RAX, Imm: 3})
@@ -204,6 +328,7 @@ func TestDispatchFusedPairsAtSliceBoundaries(t *testing.T) {
 		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.R12, Imm: 1})
 		b.I(mx.Inst{Op: mx.CMPRI, Dst: mx.R12, Imm: 1500})
 		b.Jcc(mx.CondL, "wl") // backward fused pair
+		b.I(mx.Inst{Op: mx.ADDRR, Dst: mx.RAX, Src: mx.R11})
 		b.MovSym(mx.RBX, "sum")
 		b.I(mx.Inst{Op: mx.LOCKADD, Dst: mx.RAX, Base: mx.RBX})
 		b.MovRI(mx.RAX, 0)
@@ -229,7 +354,7 @@ func TestDispatchFusedPairsAtSliceBoundaries(t *testing.T) {
 				t.Fatalf("seed %d: fault: %v", seed, sw.Fault)
 			}
 			if !sameResult(sw, th) {
-				t.Fatalf("seed %d counted=%v: dispatch engines diverge:\n  switch:   %+v\n  threaded: %+v",
+				t.Fatalf("seed %d counted=%v: dispatch modes diverge:\n  switch:   %+v\n  threaded: %+v",
 					seed, counted, sw, th)
 			}
 			if counted && !reflect.DeepEqual(swc, thc) {

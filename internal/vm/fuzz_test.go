@@ -12,15 +12,17 @@ import (
 	"repro/internal/vm"
 )
 
-// Randomized differential for the dispatch engines: generated guest programs
+// Randomized differential for the dispatch drivers: generated guest programs
 // — straight-line streams of ALU/memory/stack/atomic/vector instructions
 // with forward-only branches (fusion candidates included), self-modifying
 // stores that patch later instructions, leaf calls, racy shared-memory
 // traffic from a second thread, and enough code volume that instructions
 // straddle page boundaries — must behave bit-identically under switch and
-// threaded dispatch at every scheduler seed. Register and memory state are
-// folded into the exit checksum; cycles, instruction counts, faults, and
-// the full Counters snapshot are compared directly.
+// threaded dispatch at every scheduler seed, on the TSO machine and on the
+// weakly-ordered one (store-buffer forwarding and drains, self-modifying
+// stores that write through). Register and memory state are folded into
+// the exit checksum; cycles, instruction counts, faults, and the full
+// Counters snapshot are compared directly.
 
 // fuzzPool is the register set generated streams may clobber freely. RBX
 // holds the scratch-buffer base, R15 is the generator's addressing scratch,
@@ -39,10 +41,10 @@ type fuzzGen struct {
 	labels int
 }
 
-func (g *fuzzGen) reg() mx.Reg { return fuzzPool[g.r.Intn(len(fuzzPool))] }
-func (g *fuzzGen) vreg() mx.Reg { return mx.Reg(g.r.Intn(mx.NumVRegs)) }
+func (g *fuzzGen) reg() mx.Reg   { return fuzzPool[g.r.Intn(len(fuzzPool))] }
+func (g *fuzzGen) vreg() mx.Reg  { return mx.Reg(g.r.Intn(mx.NumVRegs)) }
 func (g *fuzzGen) cond() mx.Cond { return mx.Cond(g.r.Intn(mx.NumConds)) }
-func (g *fuzzGen) imm32() int64 { return int64(int32(g.r.Uint32())) }
+func (g *fuzzGen) imm32() int64  { return int64(int32(g.r.Uint32())) }
 
 func (g *fuzzGen) label() string {
 	g.labels++
@@ -54,7 +56,7 @@ func (g *fuzzGen) label() string {
 // All memory operands stay inside the 4KiB scratch buffer based at RBX.
 func (g *fuzzGen) simple() {
 	r := g.r
-	switch r.Intn(12) {
+	switch r.Intn(13) {
 	case 0:
 		ops := []mx.Op{mx.ADDRR, mx.SUBRR, mx.ANDRR, mx.ORRR, mx.XORRR,
 			mx.IMULRR, mx.SHLRR, mx.SHRRR, mx.SARRR, mx.CMPRR, mx.TESTRR}
@@ -107,6 +109,18 @@ func (g *fuzzGen) simple() {
 		} else {
 			ops := []mx.Op{mx.STOREIDX8, mx.STOREIDX32, mx.STOREIDX64}
 			g.b.I(mx.Inst{Op: ops[r.Intn(3)], Dst: g.reg(), Base: mx.RBX, Idx: idx, Scale: scale, Disp: disp})
+		}
+	case 12: // a store, then a mixed-width access, to one of four hot
+		// quads: aliasing traffic for the weak machine's store buffer
+		// (forwarding hits, partial overlaps, same-address ordering
+		// across widths)
+		quad := 8 * r.Intn(4)
+		sub := []int{0, 0, 1, 4}
+		stores := []mx.Op{mx.STORE8, mx.STORE32, mx.STORE64, mx.STOREI32, mx.STOREI64}
+		access := append([]mx.Op{mx.LOAD8, mx.LOAD32, mx.LOAD64}, stores...)
+		for _, ops := range [][]mx.Op{stores, access} {
+			g.b.I(mx.Inst{Op: ops[r.Intn(len(ops))], Dst: g.reg(), Base: mx.RBX,
+				Disp: int32(quad + sub[r.Intn(len(sub))]), Imm: g.imm32()})
 		}
 	case 9: // balanced stack pair
 		g.b.I(mx.Inst{Op: mx.PUSH, Dst: g.reg()})
@@ -201,7 +215,8 @@ func (g *fuzzGen) emitLeaves(names []string) {
 // buildFuzzImage generates one deterministic two-thread program from
 // progSeed: main spawns a worker running its own random stream, runs a
 // random stream of its own (the two race on the shared buffer), joins, and
-// exits with a checksum over all pool registers and the buffer contents.
+// prints a checksum over all pool registers and the buffer contents (its
+// low byte is also the exit code).
 func buildFuzzImage(t *testing.T, progSeed int64) *image.Image {
 	t.Helper()
 	r := rand.New(rand.NewSource(progSeed))
@@ -242,6 +257,8 @@ func buildFuzzImage(t *testing.T, progSeed int64) *image.Image {
 	b.Jmp("chk")
 	b.Label("chkdone")
 	b.MovRR(mx.RDI, mx.R15)
+	b.CallExt("print_i64") // the full checksum, compared as Output
+	b.MovRR(mx.RDI, mx.R15)
 	b.I(mx.Inst{Op: mx.ANDRI, Dst: mx.RDI, Imm: 255})
 	b.CallExt("exit")
 	mg.emitLeaves(mleaves)
@@ -272,50 +289,62 @@ func buildFuzzImage(t *testing.T, progSeed int64) *image.Image {
 }
 
 // TestDispatchFuzzDifferential runs each generated program under both
-// dispatch engines, with and without counters, at several scheduler seeds,
-// and requires bit-identical Results everywhere, identical Counters between
-// engines, and that enabling counters never perturbs execution.
+// dispatch modes, with and without counters, at several scheduler seeds, on
+// both machine modes, and requires bit-identical Results everywhere,
+// identical Counters between modes, and that enabling counters never
+// perturbs execution.
 func TestDispatchFuzzDifferential(t *testing.T) {
+	weak := mx.TargetByName("mx64w").MachineMode
 	for progSeed := int64(1); progSeed <= 6; progSeed++ {
 		progSeed := progSeed
 		t.Run(fmt.Sprintf("prog%d", progSeed), func(t *testing.T) {
 			t.Parallel()
-			img := buildFuzzImage(t, progSeed)
-			for _, seed := range []int64{1, 4, 9} {
-				exec := func(mode vm.DispatchMode, counted bool) (vm.Result, *vm.Counters) {
-					m, err := vm.New(img, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m.SetDispatch(mode)
-					var c *vm.Counters
-					if counted {
-						c = m.EnableCounters()
-					}
-					return m.Run(10_000_000), c
-				}
-				sw, _ := exec(vm.DispatchSwitch, false)
-				th, _ := exec(vm.DispatchThreaded, false)
-				swc, swCtr := exec(vm.DispatchSwitch, true)
-				thc, thCtr := exec(vm.DispatchThreaded, true)
-				if sw.Fault != nil {
-					// The generator keeps every access in bounds; a fault
-					// means lost coverage, not a legitimate program.
-					t.Fatalf("seed %d: generated program faults: %v", seed, sw.Fault)
-				}
-				if !sameResult(sw, th) {
-					t.Fatalf("seed %d: engines diverge (uncounted):\n  switch:   %+v\n  threaded: %+v", seed, sw, th)
-				}
-				if !sameResult(swc, thc) {
-					t.Fatalf("seed %d: engines diverge (counted):\n  switch:   %+v\n  threaded: %+v", seed, swc, thc)
-				}
-				if !sameResult(sw, swc) {
-					t.Fatalf("seed %d: enabling counters perturbs execution:\n  off: %+v\n  on:  %+v", seed, sw, swc)
-				}
-				if !reflect.DeepEqual(swCtr, thCtr) {
-					t.Fatalf("seed %d: counters diverge:\n  switch:   %+v\n  threaded: %+v", seed, swCtr, thCtr)
-				}
+			tso := buildFuzzImage(t, progSeed)
+			wimg := tso.Clone()
+			wimg.Machine = weak
+			for _, img := range []*image.Image{tso, wimg} {
+				fuzzDifferential(t, img)
 			}
 		})
+	}
+}
+
+// fuzzDifferential is one generated image's leg of the differential.
+func fuzzDifferential(t *testing.T, img *image.Image) {
+	t.Helper()
+	for _, seed := range []int64{1, 4, 9} {
+		exec := func(mode vm.DispatchMode, counted bool) (vm.Result, *vm.Counters) {
+			m, err := vm.New(img, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetDispatch(mode)
+			var c *vm.Counters
+			if counted {
+				c = m.EnableCounters()
+			}
+			return m.Run(10_000_000), c
+		}
+		sw, _ := exec(vm.DispatchSwitch, false)
+		th, _ := exec(vm.DispatchThreaded, false)
+		swc, swCtr := exec(vm.DispatchSwitch, true)
+		thc, thCtr := exec(vm.DispatchThreaded, true)
+		if sw.Fault != nil {
+			// The generator keeps every access in bounds; a fault means
+			// lost coverage, not a legitimate program.
+			t.Fatalf("machine %q seed %d: generated program faults: %v", img.Machine, seed, sw.Fault)
+		}
+		if !sameResult(sw, th) {
+			t.Fatalf("machine %q seed %d: modes diverge (uncounted):\n  switch:   %+v\n  threaded: %+v", img.Machine, seed, sw, th)
+		}
+		if !sameResult(swc, thc) {
+			t.Fatalf("machine %q seed %d: modes diverge (counted):\n  switch:   %+v\n  threaded: %+v", img.Machine, seed, swc, thc)
+		}
+		if !sameResult(sw, swc) {
+			t.Fatalf("machine %q seed %d: enabling counters perturbs execution:\n  off: %+v\n  on:  %+v", img.Machine, seed, sw, swc)
+		}
+		if !reflect.DeepEqual(swCtr, thCtr) {
+			t.Fatalf("machine %q seed %d: counters diverge:\n  switch:   %+v\n  threaded: %+v", img.Machine, seed, swCtr, thCtr)
+		}
 	}
 }

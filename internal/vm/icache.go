@@ -11,8 +11,8 @@ import (
 // later fetch in that page indexes a struct instead of calling mx.Decode.
 //
 // Code bytes are read from guest Memory, not from the image, so the cache
-// (and the -nocache differential path, which decodes from the same memory on
-// every step) sees stores into code pages: Memory's write watcher calls
+// (and the uncached path of DisableCache, which decodes from the same memory
+// on every step) sees stores into code pages: Memory's write watcher calls
 // invalidateCode for any store that lands in an executable range, and the
 // page is re-decoded from the updated bytes on the next fetch. Decode windows
 // are clamped to the owning section's end, so a final truncated instruction
@@ -21,9 +21,9 @@ import (
 // codePage is the predecoded form of one executable guest page. Under
 // threaded dispatch (step_threaded.go) it additionally carries a per-offset
 // dispatch table, compiled lazily by compile() on the page's first threaded
-// execution; the switch engine ignores it. Write invalidation drops the
-// whole codePage, so fused superinstruction choices and flat-run metadata
-// can never outlive the bytes they were compiled from.
+// execution; the reference driver ignores it. Write invalidation drops the
+// whole codePage, so fused-pair choices and flat-run metadata can never
+// outlive the bytes they were compiled from.
 type codePage struct {
 	insts [pageSize]mx.Inst
 	// lens[off] is the encoded length of insts[off]; 0 means the address
@@ -117,7 +117,7 @@ func (m *Machine) fillCodePage(base uint64) *codePage {
 	return cp
 }
 
-// decodeUncached is the -nocache fetch path: find the executable section,
+// decodeUncached is the uncached fetch path (DisableCache): find the executable section,
 // read one instruction window from guest memory, and decode it. Semantically
 // identical to the cached path (including window clamping at section ends),
 // just without memoization.
@@ -159,12 +159,9 @@ func (m *Machine) invalidateCode(pageBase uint64) {
 }
 
 // DisableCache turns off the predecoded instruction cache for this machine:
-// every step decodes its instruction from guest memory. Execution results
-// are identical either way — this is the -nocache escape hatch used for
-// differential testing of the cache. Call before Run.
+// every step decodes its instruction from guest memory through the
+// reference driver. Execution results are identical either way; the
+// uncached machine is the oracle the self-modifying-code and cache
+// identity tests (TestCacheIdentity) and BenchmarkStepLoop compare
+// against. Call before Run.
 func (m *Machine) DisableCache() { m.nocache = true }
-
-// NoCacheDefault, when set before machines are created, disables the
-// predecode cache machine-wide (set once at startup by polybench -nocache;
-// individual machines can still be switched with DisableCache).
-var NoCacheDefault bool

@@ -143,9 +143,9 @@ func TestWriteWatch(t *testing.T) {
 	if len(hits) != 0 {
 		t.Fatalf("unwatched store fired %v", hits)
 	}
-	m.Store(0x2008, 1, 8) // inside
+	m.Store(0x2008, 1, 8)                 // inside
 	m.WriteBytes(0x2ffc, make([]byte, 8)) // straddles 0x2000->0x3000
-	m.Store(0x4800, 1, 8) // above
+	m.Store(0x4800, 1, 8)                 // above
 	want := []uint64{0x2000, 0x2000, 0x3000}
 	if len(hits) != len(want) {
 		t.Fatalf("watch hits = %v, want %v", hits, want)

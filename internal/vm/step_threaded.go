@@ -6,17 +6,17 @@ import (
 	"repro/internal/mx"
 )
 
-// This file implements the threaded-code dispatch engine: instead of one
-// switch per step (step.go), each predecoded page carries a handler pointer
-// per byte offset, so the hot loop is an indirect call per instruction —
-// Go's idiom for computed-goto dispatch. Three tiers stack on top of the
-// predecode cache:
+// This file implements the threaded dispatch driver: instead of fetching and
+// decoding per step (stepThread, step.go), each predecoded page carries a
+// dispatch record per byte offset, so the hot loop is an indirect call per
+// instruction through the shared handler table — Go's idiom for
+// computed-goto dispatch. Three tiers stack on top of the predecode cache:
 //
-//   - per-opcode handlers: cp.disp[off].h(m, t, cp, inst, pc, next), with
-//     RR/RI layout variants specialized so the operand-source branch of
-//     aluSrc disappears from the hot path;
-//   - fused superinstructions: a flag-setting CMP/TEST/SUB immediately
-//     followed by a same-page JCC dispatches as one handler retiring two
+//   - per-opcode handlers: opHandlers[op](m, t, inst, pc, next), with RR/RI
+//     layout variants specialized so the operand-source branch disappears
+//     from the hot path;
+//   - fused pairs: a flag-setting CMP/TEST/SUB immediately followed by a
+//     same-page JCC dispatches as one inline micro-op pair retiring two
 //     instructions (selected at compile() time);
 //   - block accounting: straight-line runs of "simple" instructions (no
 //     control transfer, no external call, no hook site) retire with one
@@ -24,18 +24,11 @@ import (
 //     exact per-prefix fallback when a run exits early on a fault, a
 //     scheduling-grant boundary, or a self-modifying-code invalidation.
 //
-// The contract is bit-identical semantics with stepThread: same faults at
-// the same PCs, same Counters, same hook call sites, and — because batching
-// is provably equivalent to the per-step scheduler fast path — the same
+// The contract is bit-identical semantics with the reference driver: same
+// faults at the same PCs, same hook call sites, and — because batching is
+// provably equivalent to the per-step scheduler fast path — the same
 // interleavings at every seed. Deviations are bugs; the differential matrix
 // in dispatch_test.go and fuzz_test.go is the enforcement.
-
-// handler executes one predecoded instruction (or a fused pair). pc is the
-// instruction address, next the fallthrough address; t.PC == next on entry.
-// The return value is the "fallthrough" the batch loop compares t.PC against
-// for the generic OnBlock site: handlers that must suppress that check (host
-// frame resume, thread exit) return the final t.PC instead.
-type handler func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint64) uint64
 
 // dispatchEnt is the per-offset threaded-dispatch record. It is packed to
 // 16 bytes — handler, length, retire class, flat-run length, and precomputed
@@ -44,7 +37,7 @@ type handler func(m *Machine, t *Thread, cp *codePage, i *mx.Inst, pc, next uint
 type dispatchEnt struct {
 	h handler
 	// n is the encoded instruction length (mirrors codePage.lens so the
-	// batch loops index a single table).
+	// batch loop indexes a single table).
 	n uint8
 	// retire classifies the dispatch; see the retire* constants.
 	retire uint8
@@ -62,14 +55,17 @@ type dispatchEnt struct {
 	runCost uint32
 }
 
-// retire classes: how many instructions disp[off].h retires, plus the two
-// dispatches the batch loop must treat specially before calling the handler.
+// retire classes: how many instructions a dispatch retires, plus the
+// dispatches the batch loop handles specially instead of (or before)
+// calling the handler.
 const (
 	// retireFault marks a fetch hole or predecoded BAD instruction: the
 	// sentinel handler faults and retires nothing.
 	retireFault = iota
 	retireOne
-	// retireFused is a superinstruction retiring two instructions.
+	// retireFused is a fused flag-setter+JCC pair retiring two
+	// instructions; h is the leading op's handler, used when the pair
+	// would overrun the scheduling grant.
 	retireFused
 	// retireCallX is an external call: the one dispatch that must settle
 	// deferred accounting first (the clock external reads machine cycles).
@@ -77,12 +73,12 @@ const (
 	// retireJmp is a direct jump whose target is in the same page (and not
 	// its own fallthrough): the fast batch loop takes it without a handler
 	// call or fault/exit checks, since a jump cannot fault, block, or
-	// write memory. The counted loop dispatches it generically through h.
+	// write memory.
 	retireJmp
 	// retireJcc is a conditional branch with a non-zero displacement: pure,
 	// so the fast loop evaluates it inline and fires the block hook on
 	// both edges (matching hJcc's untaken call plus the generic taken
-	// site). The counted loop dispatches it generically through h.
+	// site).
 	retireJcc
 	// retireCall and retireRet mark direct same-page calls (non-zero
 	// displacement) and returns; the fast loop hand-inlines their
@@ -96,8 +92,8 @@ const (
 // simple opcodes execute through an inline jump table instead of an indirect
 // handler call, which is worth several cycles per instruction on the hot
 // path. mopCall (zero) falls back to disp.h. Each inline body must mirror
-// the corresponding handler exactly; the switch/threaded differential matrix
-// is the enforcement.
+// the corresponding handler exactly; the differential matrix against the
+// reference driver is the enforcement.
 const (
 	mopCall = iota
 	mopMovRR
@@ -161,119 +157,27 @@ func init() {
 	}
 }
 
-var (
-	opHandlers [mx.NumOps]handler
-	// fusedHandlers maps a flag-setting opcode to its op+JCC superinstruction
-	// handler; nil means the opcode does not fuse.
-	fusedHandlers [mx.NumOps]handler
-	// simpleOps marks instructions eligible for flat runs: always fall
-	// through, never call hooks or externals, never end the step loop.
-	simpleOps [mx.NumOps]bool
-)
-
-func init() {
-	for i := range opHandlers {
-		opHandlers[i] = hUnimplemented
+// fusible marks the flag-setting opcodes that fuse with an immediately
+// following same-page JCC; each has an inline micro-op, which the fused
+// dispatch in stepBatchFast executes before evaluating the branch.
+var fusible = func() [mx.NumOps]bool {
+	var f [mx.NumOps]bool
+	for _, op := range []mx.Op{mx.CMPRR, mx.CMPRI, mx.TESTRR, mx.TESTRI, mx.SUBRR, mx.SUBRI} {
+		f[op] = true
 	}
-	reg := func(op mx.Op, h handler, simple bool) {
-		opHandlers[op] = h
-		simpleOps[op] = simple
-	}
-	reg(mx.NOP, hNop, true)
-	reg(mx.MOVRR, hMovRR, true)
-	reg(mx.MOVRI, hMovRI, true)
-	reg(mx.LEA, hLea, true)
-	reg(mx.LEAIDX, hLeaIdx, true)
-	reg(mx.LOAD8, hLoad8, true)
-	reg(mx.LOAD32, hLoad32, true)
-	reg(mx.LOAD64, hLoad64, true)
-	reg(mx.STORE8, hStore8, true)
-	reg(mx.STORE32, hStore32, true)
-	reg(mx.STORE64, hStore64, true)
-	reg(mx.STOREI8, hStoreI8, true)
-	reg(mx.STOREI32, hStoreI32, true)
-	reg(mx.STOREI64, hStoreI64, true)
-	reg(mx.LOADIDX8, hLoadIdx8, true)
-	reg(mx.LOADIDX32, hLoadIdx32, true)
-	reg(mx.LOADIDX64, hLoadIdx64, true)
-	reg(mx.STOREIDX8, hStoreIdx8, true)
-	reg(mx.STOREIDX32, hStoreIdx32, true)
-	reg(mx.STOREIDX64, hStoreIdx64, true)
-	reg(mx.ADDRR, hAddRR, true)
-	reg(mx.ADDRI, hAddRI, true)
-	reg(mx.SUBRR, hSubRR, true)
-	reg(mx.SUBRI, hSubRI, true)
-	reg(mx.CMPRR, hCmpRR, true)
-	reg(mx.CMPRI, hCmpRI, true)
-	reg(mx.ANDRR, hAndRR, true)
-	reg(mx.ANDRI, hAndRI, true)
-	reg(mx.ORRR, hOrRR, true)
-	reg(mx.ORRI, hOrRI, true)
-	reg(mx.XORRR, hXorRR, true)
-	reg(mx.XORRI, hXorRI, true)
-	reg(mx.TESTRR, hTestRR, true)
-	reg(mx.TESTRI, hTestRI, true)
-	reg(mx.SHLRR, hShlRR, true)
-	reg(mx.SHLRI, hShlRI, true)
-	reg(mx.SHRRR, hShrRR, true)
-	reg(mx.SHRRI, hShrRI, true)
-	reg(mx.SARRR, hSarRR, true)
-	reg(mx.SARRI, hSarRI, true)
-	reg(mx.IMULRR, hImulRR, true)
-	reg(mx.IMULRI, hImulRI, true)
-	reg(mx.DIVRR, hDivRR, true)
-	reg(mx.MODRR, hModRR, true)
-	reg(mx.NEG, hNeg, true)
-	reg(mx.NOT, hNot, true)
-	reg(mx.SETCC, hSetcc, true)
-	reg(mx.JMP, hJmp, false)
-	reg(mx.JCC, hJcc, false)
-	reg(mx.JMPR, hJmpR, false)
-	reg(mx.JMPM, hJmpM, false)
-	reg(mx.CALL, hCall, false)
-	reg(mx.CALLR, hCallR, false)
-	reg(mx.RET, hRet, false)
-	reg(mx.CALLX, hCallX, false)
-	reg(mx.SYSCALL, hSyscall, false)
-	reg(mx.HLT, hHlt, false)
-	reg(mx.UD2, hUd2, false)
-	reg(mx.PUSH, hPush, true)
-	reg(mx.POP, hPop, true)
-	reg(mx.LOCKADD, hLockAdd, true)
-	reg(mx.LOCKSUB, hLockSub, true)
-	reg(mx.LOCKAND, hLockAnd, true)
-	reg(mx.LOCKOR, hLockOr, true)
-	reg(mx.LOCKXOR, hLockXor, true)
-	reg(mx.LOCKXADD, hLockXadd, true)
-	reg(mx.LOCKINC, hLockInc, true)
-	reg(mx.LOCKDEC, hLockDec, true)
-	reg(mx.XCHG, hXchg, true)
-	reg(mx.CMPXCHG, hCmpxchg, true)
-	reg(mx.MFENCE, hMfence, true)
-	reg(mx.TLSBASE, hTlsBase, true)
-	reg(mx.VLOAD, hVload, true)
-	reg(mx.VSTORE, hVstore, true)
-	reg(mx.VADD, hVadd, true)
-	reg(mx.VMUL, hVmul, true)
-	reg(mx.VBCAST, hVbcast, true)
-	reg(mx.VHADD, hVhadd, true)
-
-	fusedHandlers[mx.CMPRR] = hFusedCmpRR
-	fusedHandlers[mx.CMPRI] = hFusedCmpRI
-	fusedHandlers[mx.TESTRR] = hFusedTestRR
-	fusedHandlers[mx.TESTRI] = hFusedTestRI
-	fusedHandlers[mx.SUBRR] = hFusedSubRR
-	fusedHandlers[mx.SUBRI] = hFusedSubRI
-}
+	return f
+}()
 
 // compile fills the page's handler table and dispatch metadata from its
 // predecoded instructions: fusion selection first (a fused offset is not a
-// flat-run member — it retires two instructions through one handler), then a
+// flat-run member — it retires two instructions in one dispatch), then a
 // backward pass over fallthrough chains for flat-run lengths and block cycle
-// sums. Compilation is lazy — the switch engine never pays for it — and the
-// write-watch invalidation contract needs no extra work here: stores into
-// code drop the whole codePage, handler table, fusion choices and all.
-func (cp *codePage) compile() {
+// sums. Compilation is lazy — the reference driver never pays for it — and
+// the write-watch invalidation contract needs no extra work here: stores
+// into code drop the whole codePage, handler table, fusion choices and all.
+// On a weak machine the inline plain load/store micro-ops, which bypass the
+// store buffer, give way to their handlers.
+func (cp *codePage) compile(weak bool) {
 	for off := 0; off < pageSize; off++ {
 		d := &cp.disp[off]
 		n := int(cp.lens[off])
@@ -290,6 +194,9 @@ func (cp *codePage) compile() {
 		d.h = opHandlers[op]
 		d.retire = retireOne
 		d.mop = mopOf[op]
+		if weak && d.mop >= mopLoad64 && d.mop <= mopStoreIdx64 {
+			d.mop = mopCall
+		}
 		d.runCost = uint32(costs[op])
 		if op == mx.CALLX {
 			d.retire = retireCallX
@@ -318,9 +225,8 @@ func (cp *codePage) compile() {
 			d.retire = retireRet
 			continue
 		}
-		if f := fusedHandlers[op]; f != nil {
+		if fusible[op] {
 			if off2 := off + n; off2 < pageSize && cp.lens[off2] != 0 && cp.insts[off2].Op == mx.JCC {
-				d.h = f
 				d.retire = retireFused
 				d.runCost = uint32(costs[op] + costs[mx.JCC])
 			}
@@ -342,25 +248,18 @@ func (cp *codePage) compile() {
 	cp.compiled = true
 }
 
-// stepBatch executes up to budget instructions of t's current scheduling
-// grant under threaded dispatch and returns how many retired. budget is the
-// remainder of t's time slice (clamped to remaining fuel), so one batch is
-// equivalent to budget iterations of the per-step loop: the scheduler's
-// fast path grants exactly these picks without consuming randomness, and
-// the batch ends early exactly where the per-step loop would switch away
-// (fault, block, exit) or re-decide (preemption boundary).
-//
-// Counters mode dispatches per step — per-instruction fetch attribution
-// (ICache hits), opcode-class counts, and per-thread cycle deltas are part
-// of the Counters exactness contract — while the uninstrumented path defers
-// insts/cycles sums to flush points. The only mid-run observer of machine
-// totals is the clock external, so a flush is owed exactly before CALLX
-// (and at every batch exit, so Run and Result always see settled totals).
-func (m *Machine) stepBatch(t *Thread, budget int) int {
-	if m.ctr == nil {
-		return m.stepBatchFast(t, budget)
-	}
-	return m.stepBatchCounted(t, budget)
+// hFetchHole and hIllegal are the retireFault sentinels compile() installs
+// for non-executable offsets and predecoded BAD instructions, so the batch
+// loop needs no per-dispatch fetch checks: the fault is the dispatch.
+
+func hFetchHole(m *Machine, t *Thread, _ *mx.Inst, pc, next uint64) uint64 {
+	m.faultf(t, pc, "instruction fetch from unmapped or non-executable memory")
+	return next
+}
+
+func hIllegal(m *Machine, t *Thread, _ *mx.Inst, pc, next uint64) uint64 {
+	m.faultf(t, pc, "illegal instruction")
+	return next
 }
 
 // extendGrant is the fast batch loop's inline scheduler slow path. When a
@@ -403,10 +302,20 @@ func (m *Machine) extendGrant(t *Thread, budget *int, ran int, pendI uint64) boo
 	return true
 }
 
-// stepBatchFast is the uninstrumented batch loop: an outer iteration per
-// page entered, an inner iteration per dispatch within that page, and block
-// accounting for both flat runs and single dispatches, flushed before CALLX
-// and on every exit path.
+// stepBatchFast executes up to budget instructions of t's current
+// scheduling grant and returns how many retired. budget is the remainder of
+// t's time slice (clamped to remaining fuel), so one batch is equivalent to
+// budget iterations of the per-step loop: the scheduler's fast path grants
+// exactly these picks without consuming randomness, and the batch ends
+// early exactly where the per-step loop would switch away (fault, block,
+// exit) or re-decide (preemption boundary).
+//
+// The loop runs an outer iteration per page entered and an inner iteration
+// per dispatch within that page. Counters are off here by construction (Run
+// sends counter-enabled runs to the reference driver), so insts/cycles sums
+// are deferred to flush points: the only mid-run observer of machine totals
+// is the clock external, so a flush is owed exactly before CALLX, and at
+// every batch exit so that Run and Result always see settled totals.
 func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 	extra := m.ExtraCostPerInst
 	ran := 0
@@ -424,7 +333,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 			m.icBase, m.icPage = base, cp
 		}
 		if !cp.compiled {
-			cp.compile()
+			cp.compile(m.weak)
 		}
 		// Same-page dispatch loop: fall out to the outer loop only when
 		// control leaves the page or a store invalidated it.
@@ -521,13 +430,13 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 						t.setZS(v)
 						t.CF, t.OF = false, false
 					// The memory micro-ops hand-inline Memory's TLB-hit
-					// fast path: counters are off in this engine by
-					// construction (stepBatch routes counter runs to
-					// stepBatchCounted, and Mem.ctr is only ever set
-					// together with m.ctr), so a hit needs no attribution,
-					// and stores only need the write-watch envelope check.
-					// Misses, straddles, and watched stores take the same
-					// slow path as the handlers.
+					// fast path: counters are off in this driver (and
+					// Mem.ctr is only ever set together with m.ctr), so a
+					// hit needs no attribution, and stores only need the
+					// write-watch envelope check. Misses, straddles, and
+					// watched stores take the same slow path as the
+					// handlers. Weak machines never get the plain
+					// load/store micro-ops (compile).
 					case mopLoad64:
 						addr := t.ea(i)
 						e := &m.Mem.tlb[(addr>>pageShift)&(tlbSize-1)]
@@ -578,7 +487,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 							(mem.onWrite == nil || sp >= mem.watchHi || sp+8 <= mem.watchLo) {
 							binary.LittleEndian.PutUint64(e.pg[o:], t.Regs[i.Dst])
 						} else if !mem.store64(sp, t.Regs[i.Dst]) {
-							m.faultf(t, t.PC, "stack overflow: push to unmapped %#x", sp)
+							m.faultf(t, pc, "stack overflow: push to unmapped %#x", sp)
 						}
 					case mopPop:
 						sp := t.Regs[mx.RSP]
@@ -591,10 +500,10 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 							t.Regs[i.Dst] = v
 							t.Regs[mx.RSP] = sp + 8
 						} else {
-							m.faultf(t, t.PC, "pop from unmapped %#x", sp)
+							m.faultf(t, pc, "pop from unmapped %#x", sp)
 						}
 					default:
-						d.h(m, t, cp, i, pc, next)
+						d.h(m, t, i, pc, next)
 					}
 					k++
 					if k >= r || m.fault != nil || m.icBase != base {
@@ -638,8 +547,6 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 
 			// Single dispatch: control flow, externals, fused pairs,
 			// fetch holes and illegal instructions.
-			h := d.h
-			k := 1
 			next := pc + uint64(d.n)
 			switch d.retire {
 			case retireFault:
@@ -648,7 +555,7 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 				m.insts += pendI
 				m.cycles += pendC
 				t.Cycles += pendC
-				h(m, t, cp, &cp.insts[off], pc, next)
+				d.h(m, t, &cp.insts[off], pc, next)
 				return ran
 			case retireJmp:
 				// Same-page direct jump: no handler call, no fault or
@@ -785,15 +692,12 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 					// branch: they cannot fault, exit, block the thread,
 					// or write memory, so the generic post-dispatch
 					// checks reduce to the block hook and the page and
-					// budget checks. The six fused flag-setters are also
-					// inlined here (d.mop still holds the leading op's
-					// micro-op code), saving the handler and fuseJcc
-					// calls; the bodies mirror the hFused* handlers.
+					// budget checks. d.mop holds the leading op's
+					// micro-op code; every fusible op has one.
 					pendI += 2
 					pendC += uint64(d.runCost) + 2*extra
 					ran += 2
 					fi := &cp.insts[off]
-					inlined := true
 					switch d.mop {
 					case mopCmpRR:
 						a, b := t.Regs[fi.Dst], t.Regs[fi.Src]
@@ -819,29 +723,20 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 						r := a - b
 						t.setSubFlags(a, b, r)
 						t.Regs[fi.Dst] = r
-					default:
-						inlined = false
 					}
-					var fall uint64
-					if inlined {
-						// fuseJcc, inlined: the trailing JCC's untaken
-						// edge fires the block hook with PC at the
-						// fallthrough, the taken edge via the generic
-						// fall check below.
-						off2 := next & (pageSize - 1)
-						j := &cp.insts[off2]
-						fall = next + uint64(cp.lens[off2])
-						if t.Eval(j.Cc) {
-							t.PC = fall + uint64(int64(j.Disp))
-						} else {
-							t.PC = fall
-							if m.OnBlock != nil {
-								m.OnBlock(t, fall)
-							}
-						}
+					// The trailing JCC, as hJcc: the untaken edge fires
+					// the block hook with PC at the fallthrough, the
+					// taken edge via the generic fall check below.
+					off2 := next & (pageSize - 1)
+					j := &cp.insts[off2]
+					fall := next + uint64(cp.lens[off2])
+					if t.Eval(j.Cc) {
+						t.PC = fall + uint64(int64(j.Disp))
 					} else {
-						t.PC = next
-						fall = h(m, t, cp, fi, pc, next)
+						t.PC = fall
+						if m.OnBlock != nil {
+							m.OnBlock(t, fall)
+						}
 					}
 					if t.PC != fall && m.OnBlock != nil {
 						m.OnBlock(t, t.PC)
@@ -862,17 +757,15 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 				// fuel); dispatch the leading instruction unfused so
 				// preemption and fuel boundaries stay bit-identical to
 				// per-step dispatch.
-				op := cp.insts[off].Op
-				h = opHandlers[op]
 				pendI++
-				pendC += costs[op] + extra
+				pendC += costs[cp.insts[off].Op] + extra
 			default:
 				pendI++
 				pendC += uint64(d.runCost) + extra
 			}
 			t.PC = next
-			fall := h(m, t, cp, &cp.insts[off], pc, next)
-			ran += k
+			fall := d.h(m, t, &cp.insts[off], pc, next)
+			ran++
 			if m.fault != nil {
 				m.insts += pendI
 				m.cycles += pendC
@@ -904,863 +797,4 @@ func (m *Machine) stepBatchFast(t *Thread, budget int) int {
 	m.cycles += pendC
 	t.Cycles += pendC
 	return ran
-}
-
-// stepBatchCounted is the batch loop with machine counters enabled: every
-// instruction dispatches singly with eager accounting, replicating
-// stepThread's fetch/hit/class attribution bit for bit (fused pairs count
-// their second fetch as the ICache hit it would have been).
-func (m *Machine) stepBatchCounted(t *Thread, budget int) int {
-	ctr := m.ctr
-	ran := 0
-	for ran < budget {
-		pc := t.PC
-		base := pc &^ (pageSize - 1)
-		cp := m.icPage
-		if base != m.icBase {
-			cp = m.icache[base]
-			if cp == nil {
-				cp = m.fillCodePage(base)
-				m.icache[base] = cp
-				ctr.ICacheMisses++
-			} else {
-				ctr.ICacheHits++
-			}
-			m.icBase, m.icPage = base, cp
-		} else {
-			ctr.ICacheHits++
-		}
-		if !cp.compiled {
-			cp.compile()
-		}
-		off := pc & (pageSize - 1)
-		d := &cp.disp[off]
-		if d.retire == retireFault {
-			d.h(m, t, cp, &cp.insts[off], pc, pc+uint64(d.n))
-			return ran
-		}
-		inst := &cp.insts[off]
-		h := d.h
-		k := 1
-		if d.retire == retireFused {
-			if budget-ran < 2 {
-				h = opHandlers[inst.Op]
-			} else {
-				k = 2
-			}
-		}
-		next := pc + uint64(d.n)
-		m.insts++
-		m.charge(t, costs[inst.Op])
-		ctr.count(t.ID, inst)
-		if k == 2 {
-			inst2 := &cp.insts[next&(pageSize-1)]
-			m.insts++
-			m.charge(t, costs[inst2.Op])
-			ctr.ICacheHits++ // the pair's second fetch, same page by construction
-			ctr.count(t.ID, inst2)
-		}
-		t.PC = next
-		fall := h(m, t, cp, inst, pc, next)
-		ran += k
-		if m.fault != nil {
-			return ran
-		}
-		if m.OnBlock != nil && t.PC != fall && t.State == Runnable {
-			m.OnBlock(t, t.PC)
-		}
-		if m.exited || t.State != Runnable {
-			return ran
-		}
-	}
-	return ran
-}
-
-// ---- per-opcode handlers -------------------------------------------------
-//
-// Each handler is the corresponding stepThread case verbatim, with the
-// RR/RI source operand specialized away and `return` mapped to the
-// fallthrough contract described on the handler type.
-
-// Width-specialized loadMem/storeMem variants: handlers know their access
-// width statically, so the Memory TLB fast path inlines into the handler
-// body instead of going through the generic width-switched call chain.
-// Fault messages and counter attribution match loadMem/storeMem exactly.
-
-func (m *Machine) loadMem8(t *Thread, pc, addr uint64) (uint64, bool) {
-	v, ok := m.Mem.load8(addr)
-	if !ok {
-		m.faultf(t, pc, "load from unmapped address %#x", addr)
-	}
-	return v, ok
-}
-
-func (m *Machine) loadMem32(t *Thread, pc, addr uint64) (uint64, bool) {
-	v, ok := m.Mem.load32(addr)
-	if !ok {
-		m.faultf(t, pc, "load from unmapped address %#x", addr)
-		return 0, false
-	}
-	return sx32(v), true
-}
-
-func (m *Machine) loadMem64(t *Thread, pc, addr uint64) (uint64, bool) {
-	v, ok := m.Mem.load64(addr)
-	if !ok {
-		m.faultf(t, pc, "load from unmapped address %#x", addr)
-	}
-	return v, ok
-}
-
-func (m *Machine) storeMem8(t *Thread, pc, addr, v uint64) bool {
-	if !m.Mem.store8(addr, v) {
-		m.faultf(t, pc, "store to unmapped address %#x", addr)
-		return false
-	}
-	return true
-}
-
-func (m *Machine) storeMem32(t *Thread, pc, addr, v uint64) bool {
-	if !m.Mem.store32(addr, v) {
-		m.faultf(t, pc, "store to unmapped address %#x", addr)
-		return false
-	}
-	return true
-}
-
-func (m *Machine) storeMem64(t *Thread, pc, addr, v uint64) bool {
-	if !m.Mem.store64(addr, v) {
-		m.faultf(t, pc, "store to unmapped address %#x", addr)
-		return false
-	}
-	return true
-}
-
-func hUnimplemented(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.faultf(t, pc, "unimplemented opcode %v", i.Op)
-	return next
-}
-
-// hFetchHole and hIllegal are the retireFault sentinels compile() installs
-// for non-executable offsets and predecoded BAD instructions, so the batch
-// loops need no per-dispatch fetch checks: the fault is the dispatch.
-
-func hFetchHole(m *Machine, t *Thread, _ *codePage, _ *mx.Inst, pc, next uint64) uint64 {
-	m.faultf(t, pc, "instruction fetch from unmapped or non-executable memory")
-	return next
-}
-
-func hIllegal(m *Machine, t *Thread, _ *codePage, _ *mx.Inst, pc, next uint64) uint64 {
-	m.faultf(t, pc, "illegal instruction")
-	return next
-}
-
-func hNop(_ *Machine, _ *Thread, _ *codePage, _ *mx.Inst, _, next uint64) uint64 {
-	return next
-}
-
-func hMovRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	t.Regs[i.Dst] = t.Regs[i.Src]
-	return next
-}
-
-func hMovRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	t.Regs[i.Dst] = uint64(i.Imm)
-	return next
-}
-
-func hLea(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	t.Regs[i.Dst] = t.ea(i)
-	return next
-}
-
-func hLeaIdx(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	t.Regs[i.Dst] = t.eaIdx(i)
-	return next
-}
-
-func hLoad8(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	if v, ok := m.loadMem8(t, pc, t.ea(i)); ok {
-		t.Regs[i.Dst] = v
-	}
-	return next
-}
-
-func hLoad32(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	if v, ok := m.loadMem32(t, pc, t.ea(i)); ok {
-		t.Regs[i.Dst] = v
-	}
-	return next
-}
-
-func hLoad64(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	if v, ok := m.loadMem64(t, pc, t.ea(i)); ok {
-		t.Regs[i.Dst] = v
-	}
-	return next
-}
-
-func hStore8(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem8(t, pc, t.ea(i), t.Regs[i.Dst])
-	return next
-}
-
-func hStore32(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem32(t, pc, t.ea(i), t.Regs[i.Dst])
-	return next
-}
-
-func hStore64(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem64(t, pc, t.ea(i), t.Regs[i.Dst])
-	return next
-}
-
-func hStoreI8(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem8(t, pc, t.ea(i), uint64(i.Imm))
-	return next
-}
-
-func hStoreI32(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem32(t, pc, t.ea(i), uint64(i.Imm))
-	return next
-}
-
-func hStoreI64(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem64(t, pc, t.ea(i), uint64(i.Imm))
-	return next
-}
-
-func hLoadIdx8(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	if v, ok := m.loadMem8(t, pc, t.eaIdx(i)); ok {
-		t.Regs[i.Dst] = v
-	}
-	return next
-}
-
-func hLoadIdx32(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	if v, ok := m.loadMem32(t, pc, t.eaIdx(i)); ok {
-		t.Regs[i.Dst] = v
-	}
-	return next
-}
-
-func hLoadIdx64(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	if v, ok := m.loadMem64(t, pc, t.eaIdx(i)); ok {
-		t.Regs[i.Dst] = v
-	}
-	return next
-}
-
-func hStoreIdx8(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem8(t, pc, t.eaIdx(i), t.Regs[i.Dst])
-	return next
-}
-
-func hStoreIdx32(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem32(t, pc, t.eaIdx(i), t.Regs[i.Dst])
-	return next
-}
-
-func hStoreIdx64(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	m.storeMem64(t, pc, t.eaIdx(i), t.Regs[i.Dst])
-	return next
-}
-
-func hAddRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], t.Regs[i.Src]
-	r := a + b
-	t.setAddFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hAddRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], uint64(i.Imm)
-	r := a + b
-	t.setAddFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hSubRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], t.Regs[i.Src]
-	r := a - b
-	t.setSubFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hSubRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], uint64(i.Imm)
-	r := a - b
-	t.setSubFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hCmpRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], t.Regs[i.Src]
-	t.setSubFlags(a, b, a-b)
-	return next
-}
-
-func hCmpRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], uint64(i.Imm)
-	t.setSubFlags(a, b, a-b)
-	return next
-}
-
-func hAndRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & t.Regs[i.Src]
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hAndRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & uint64(i.Imm)
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hOrRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] | t.Regs[i.Src]
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hOrRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] | uint64(i.Imm)
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hXorRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] ^ t.Regs[i.Src]
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hXorRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] ^ uint64(i.Imm)
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hTestRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & t.Regs[i.Src]
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	return next
-}
-
-func hTestRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & uint64(i.Imm)
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	return next
-}
-
-func hShlRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] << (t.Regs[i.Src] & 63)
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hShlRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] << (uint64(i.Imm) & 63)
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hShrRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] >> (t.Regs[i.Src] & 63)
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hShrRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] >> (uint64(i.Imm) & 63)
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hSarRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := uint64(int64(t.Regs[i.Dst]) >> (t.Regs[i.Src] & 63))
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hSarRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := uint64(int64(t.Regs[i.Dst]) >> (uint64(i.Imm) & 63))
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hImulRR(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := uint64(int64(t.Regs[i.Dst]) * int64(t.Regs[i.Src]))
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hImulRI(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := uint64(int64(t.Regs[i.Dst]) * i.Imm)
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hDivRR(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	d := int64(t.Regs[i.Src])
-	if d == 0 {
-		m.faultf(t, pc, "integer divide by zero")
-		return next
-	}
-	r := uint64(int64(t.Regs[i.Dst]) / d)
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hModRR(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	d := int64(t.Regs[i.Src])
-	if d == 0 {
-		m.faultf(t, pc, "integer divide by zero")
-		return next
-	}
-	r := uint64(int64(t.Regs[i.Dst]) % d)
-	t.setZS(r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hNeg(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := -t.Regs[i.Dst]
-	t.setSubFlags(0, t.Regs[i.Dst], r)
-	t.Regs[i.Dst] = r
-	return next
-}
-
-func hNot(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	t.Regs[i.Dst] = ^t.Regs[i.Dst]
-	return next
-}
-
-func hSetcc(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	if t.Eval(i.Cc) {
-		t.Regs[i.Dst] = 1
-	} else {
-		t.Regs[i.Dst] = 0
-	}
-	return next
-}
-
-func hJmp(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	t.PC = next + uint64(int64(i.Disp))
-	return next
-}
-
-func hJcc(m *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	if t.Eval(i.Cc) {
-		t.PC = next + uint64(int64(i.Disp))
-	} else if m.OnBlock != nil {
-		// Block-granularity tracing: the untaken edge also enters a block
-		// (the fallthrough), even though PC advances linearly.
-		m.OnBlock(t, next)
-	}
-	return next
-}
-
-func hJmpR(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	target := t.Regs[i.Dst]
-	if m.OnIndirect != nil {
-		m.OnIndirect(t, pc, target, KindJump)
-	}
-	t.PC = target
-	return next
-}
-
-func hJmpM(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	slot := t.Regs[i.Base] + t.Regs[i.Idx]*8 + uint64(int64(i.Disp))
-	target, ok := m.Mem.load64(slot)
-	if !ok {
-		m.faultf(t, pc, "jump table load from unmapped %#x", slot)
-		return next
-	}
-	if m.OnIndirect != nil {
-		m.OnIndirect(t, pc, target, KindJump)
-	}
-	t.PC = target
-	return next
-}
-
-func hCall(m *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	if !m.push(t, next) {
-		return next
-	}
-	t.PC = next + uint64(int64(i.Disp))
-	return next
-}
-
-func hCallR(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	target := t.Regs[i.Dst]
-	if m.OnIndirect != nil {
-		m.OnIndirect(t, pc, target, KindCall)
-	}
-	if !m.push(t, next) {
-		return next
-	}
-	t.PC = target
-	return next
-}
-
-func hRet(m *Machine, t *Thread, _ *codePage, _ *mx.Inst, pc, next uint64) uint64 {
-	retAddr, ok := m.pop(t)
-	if !ok {
-		return next
-	}
-	switch retAddr {
-	case magicThreadExit:
-		m.threadReturned(t)
-		// stepThread returns before its OnBlock site here; suppress ours.
-		return t.PC
-	case magicHostFrame:
-		m.resumeHostFrame(t)
-		return t.PC
-	}
-	if m.OnIndirect != nil {
-		m.OnIndirect(t, pc, retAddr, KindRet)
-	}
-	t.PC = retAddr
-	return next
-}
-
-func hCallX(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	if int(i.Ext) >= len(m.exts) || m.exts[i.Ext] == nil {
-		m.faultf(t, pc, "call to unbound import #%d", i.Ext)
-		return next
-	}
-	m.charge(t, m.extCost[i.Ext])
-	if err := m.exts[i.Ext](m, t); err != nil {
-		m.faultf(t, pc, "external %q: %v", m.Img.Imports[i.Ext], err)
-		return next
-	}
-	if m.OnBlock != nil && t.PC == next && t.State == Runnable {
-		// The instruction after an external call starts a new block.
-		m.OnBlock(t, next)
-	}
-	return next
-}
-
-func hSyscall(m *Machine, t *Thread, _ *codePage, _ *mx.Inst, pc, next uint64) uint64 {
-	m.faultf(t, pc, "raw syscall executed (unsupported)")
-	return next
-}
-
-func hHlt(m *Machine, t *Thread, _ *codePage, _ *mx.Inst, _, next uint64) uint64 {
-	m.exit(int(int64(t.Regs[mx.RDI])))
-	return next
-}
-
-func hUd2(m *Machine, t *Thread, _ *codePage, _ *mx.Inst, pc, next uint64) uint64 {
-	m.faultf(t, pc, "ud2 executed")
-	return next
-}
-
-func hPush(m *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	m.push(t, t.Regs[i.Dst])
-	return next
-}
-
-func hPop(m *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	if v, ok := m.pop(t); ok {
-		t.Regs[i.Dst] = v
-	}
-	return next
-}
-
-func hLockAdd(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	r := old + t.Regs[i.Dst]
-	if !m.storeMem64(t, pc, addr, r) {
-		return next
-	}
-	t.setZS(r)
-	return next
-}
-
-func hLockSub(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	r := old - t.Regs[i.Dst]
-	if !m.storeMem64(t, pc, addr, r) {
-		return next
-	}
-	t.setZS(r)
-	return next
-}
-
-func hLockAnd(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	r := old & t.Regs[i.Dst]
-	if !m.storeMem64(t, pc, addr, r) {
-		return next
-	}
-	t.setZS(r)
-	return next
-}
-
-func hLockOr(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	r := old | t.Regs[i.Dst]
-	if !m.storeMem64(t, pc, addr, r) {
-		return next
-	}
-	t.setZS(r)
-	return next
-}
-
-func hLockXor(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	r := old ^ t.Regs[i.Dst]
-	if !m.storeMem64(t, pc, addr, r) {
-		return next
-	}
-	t.setZS(r)
-	return next
-}
-
-func hLockXadd(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	if !m.storeMem64(t, pc, addr, old+t.Regs[i.Dst]) {
-		return next
-	}
-	t.Regs[i.Dst] = old
-	return next
-}
-
-func hLockInc(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	if !m.storeMem64(t, pc, addr, old+1) {
-		return next
-	}
-	t.setZS(old + 1)
-	return next
-}
-
-func hLockDec(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	if !m.storeMem64(t, pc, addr, old-1) {
-		return next
-	}
-	t.setZS(old - 1)
-	return next
-}
-
-func hXchg(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	if !m.storeMem64(t, pc, addr, t.Regs[i.Dst]) {
-		return next
-	}
-	t.Regs[i.Dst] = old
-	return next
-}
-
-func hCmpxchg(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	old, ok := m.loadMem64(t, pc, addr)
-	if !ok {
-		return next
-	}
-	if old == t.Regs[mx.RAX] {
-		if !m.storeMem64(t, pc, addr, t.Regs[i.Dst]) {
-			return next
-		}
-		t.ZF = true
-	} else {
-		t.Regs[mx.RAX] = old
-		t.ZF = false
-	}
-	return next
-}
-
-func hMfence(_ *Machine, _ *Thread, _ *codePage, _ *mx.Inst, _, next uint64) uint64 {
-	// Interpreter execution is sequentially consistent already.
-	return next
-}
-
-func hTlsBase(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	t.Regs[i.Dst] = t.TLS
-	return next
-}
-
-func hVload(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	for l := 0; l < mx.VectorWidth; l++ {
-		v, ok := m.loadMem64(t, pc, addr+uint64(l*8))
-		if !ok {
-			return next
-		}
-		t.VRegs[i.Dst][l] = v
-	}
-	return next
-}
-
-func hVstore(m *Machine, t *Thread, _ *codePage, i *mx.Inst, pc, next uint64) uint64 {
-	addr := t.ea(i)
-	for l := 0; l < mx.VectorWidth; l++ {
-		if !m.storeMem64(t, pc, addr+uint64(l*8), t.VRegs[i.Dst][l]) {
-			return next
-		}
-	}
-	return next
-}
-
-func hVadd(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	for l := 0; l < mx.VectorWidth; l++ {
-		t.VRegs[i.Dst][l] += t.VRegs[i.Src][l]
-	}
-	return next
-}
-
-func hVmul(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	for l := 0; l < mx.VectorWidth; l++ {
-		t.VRegs[i.Dst][l] = uint64(int64(t.VRegs[i.Dst][l]) * int64(t.VRegs[i.Src][l]))
-	}
-	return next
-}
-
-func hVbcast(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	for l := 0; l < mx.VectorWidth; l++ {
-		t.VRegs[i.Dst][l] = t.Regs[i.Src]
-	}
-	return next
-}
-
-func hVhadd(_ *Machine, t *Thread, _ *codePage, i *mx.Inst, _, next uint64) uint64 {
-	var s uint64
-	for l := 0; l < mx.VectorWidth; l++ {
-		s += t.VRegs[i.Src][l]
-	}
-	t.Regs[i.Dst] = s
-	return next
-}
-
-// ---- fused superinstructions ---------------------------------------------
-//
-// A flag-setting CMP/TEST/SUB whose fallthrough is a JCC in the same page
-// dispatches as one handler retiring both instructions. The pair can never
-// fault or block, and the leading op never writes memory, so the JCC read
-// from the (immutable) codePage is always consistent with what predecode
-// selected. fuseJcc mirrors the stepThread JCC case, including the
-// untaken-edge OnBlock call with PC already at the JCC's fallthrough.
-
-func fuseJcc(m *Machine, t *Thread, cp *codePage, next uint64) uint64 {
-	off2 := next & (pageSize - 1)
-	j := &cp.insts[off2]
-	next2 := next + uint64(cp.lens[off2])
-	if t.Eval(j.Cc) {
-		t.PC = next2 + uint64(int64(j.Disp))
-	} else {
-		t.PC = next2
-		if m.OnBlock != nil {
-			m.OnBlock(t, next2)
-		}
-	}
-	return next2
-}
-
-func hFusedCmpRR(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], t.Regs[i.Src]
-	t.setSubFlags(a, b, a-b)
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedCmpRI(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], uint64(i.Imm)
-	t.setSubFlags(a, b, a-b)
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedTestRR(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & t.Regs[i.Src]
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedTestRI(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	r := t.Regs[i.Dst] & uint64(i.Imm)
-	t.setZS(r)
-	t.CF, t.OF = false, false
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedSubRR(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], t.Regs[i.Src]
-	r := a - b
-	t.setSubFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return fuseJcc(m, t, cp, next)
-}
-
-func hFusedSubRI(m *Machine, t *Thread, cp *codePage, i *mx.Inst, _, next uint64) uint64 {
-	a, b := t.Regs[i.Dst], uint64(i.Imm)
-	r := a - b
-	t.setSubFlags(a, b, r)
-	t.Regs[i.Dst] = r
-	return fuseJcc(m, t, cp, next)
 }

@@ -93,11 +93,10 @@ func recordVMBench(e bench.VMBenchEntry) {
 
 // BenchmarkStepLoop measures interpreter throughput in guest instructions
 // per second across the dispatch tiers: threaded code over predecoded pages
-// (the default engine), the per-step switch interpreter over the same
-// predecode cache (the -dispatch=switch escape hatch and PR 2 baseline), and
-// switch dispatch with decode-every-step (-nocache, the pre-cache
-// interpreter). The threaded-over-switch ratio is this PR's headline number
-// in BENCH_vm.json.
+// (every machine's default), the per-step reference driver over the same
+// predecode cache (DispatchSwitch), and the reference driver decoding every
+// step (DisableCache, the pre-cache interpreter). The threaded-over-switch
+// ratio is the headline number in BENCH_vm.json.
 func BenchmarkStepLoop(b *testing.B) {
 	img := stepLoopImage(b)
 	variants := []struct {

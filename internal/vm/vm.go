@@ -149,7 +149,7 @@ type Machine struct {
 	ctr  *Counters
 	sink *CounterSink
 
-	// dispatch engine (dispatch.go / step_threaded.go)
+	// dispatch driver (dispatch.go / step_threaded.go)
 	dispatch DispatchMode
 
 	// weak-ordering machine mode (weak.go), selected by the image's
@@ -165,7 +165,7 @@ type Machine struct {
 	icache       map[uint64]*codePage
 	icBase       uint64
 	icPage       *codePage
-	uncachedInst mx.Inst // decode target of the -nocache fetch path
+	uncachedInst mx.Inst // decode target of the uncached fetch path (DisableCache)
 
 	Out   bytes.Buffer
 	input []byte // consumed by input externals
@@ -254,8 +254,6 @@ func NewWithExts(img *image.Image, seed int64, exts map[string]ExtFunc) (*Machin
 	// Instruction fetch decodes from guest memory (loaded above), so guest
 	// stores into code pages are architecturally visible; watch the
 	// executable ranges so such stores invalidate the predecode cache.
-	m.nocache = NoCacheDefault
-	m.dispatch = DispatchDefault
 	m.weak = tgt.WeakOrder
 	m.icache = map[uint64]*codePage{}
 	m.icBase = noPage
@@ -401,10 +399,11 @@ func (m *Machine) pickThread() *Thread {
 // Run executes until clean exit, fault, deadlock, or the fuel limit (in
 // instructions) is exhausted.
 func (m *Machine) Run(fuel uint64) Result {
-	// Threaded dispatch needs predecoded pages; -nocache decodes per step
-	// and so always runs the switch engine, as does weak-ordering mode
-	// (the store buffer lives behind the switch engine's memory seam).
-	threaded := m.dispatch == DispatchThreaded && !m.nocache && !m.weak
+	// Threaded dispatch needs predecoded pages and defers accounting, so
+	// the reference driver (stepThread) serves uncached machines, which
+	// decode per step, and counter-enabled runs, whose Counters attribute
+	// every fetch and retirement per step.
+	threaded := m.dispatch == DispatchThreaded && !m.nocache && m.ctr == nil
 	m.runFuel = fuel
 	m.cancelCheck = 0
 	for !m.exited && m.fault == nil && m.insts < fuel {
@@ -446,7 +445,7 @@ func (m *Machine) Run(fuel uint64) Result {
 			budget = rem
 		}
 		m.extFrom = -1
-		if ran := m.stepBatch(t, int(budget)); ran > 0 {
+		if ran := m.stepBatchFast(t, int(budget)); ran > 0 {
 			if m.extFrom >= 0 {
 				// The batch extended past slice boundaries (sole-runnable
 				// fast path); the last fresh quantum began at batch offset

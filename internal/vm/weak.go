@@ -1,9 +1,5 @@
 package vm
 
-import (
-	"repro/internal/mx"
-)
-
 // Weak-ordering machine mode (the MX64W target's execution model).
 //
 // An image whose Machine field names a weakly-ordered target runs with a
@@ -25,12 +21,16 @@ import (
 // contract: on this machine the *target's code generator* is responsible
 // for ordering (emitting real fence instructions), not the machine, which
 // is what makes emitted-fence counts and the fence-optimization pass
-// measurable (§3.4). Native PUSH/POP and instruction fetch write through
-// directly (stronger ordering than required, still correct).
+// measurable (§3.4). Stack traffic (PUSH/POP, CALL/RET return slots) and
+// instruction fetch bypass the buffer and access memory directly. That is
+// a known defect: a buffered plain store to a stack slot that a later PUSH
+// overwrites drains over the pushed value.
 //
-// Weak mode always runs the switch dispatch engine: like -nocache, the
-// threaded engine's fused handlers bypass the loadMem/storeMem seam the
-// store buffer lives behind.
+// The buffer lives behind the handlers' width-specialized data-access seam
+// (loadMem8/32/64, storeMem8/32/64 in step.go), and each draining op's
+// handler calls fence before its own semantics, so both dispatch drivers
+// run weak machines. The threaded driver's inline 64-bit load/store
+// micro-ops skip the seam; compile() withholds them from weak machines.
 
 // sbCap is the store-buffer capacity in entries; reaching it drains the
 // whole buffer (modeling limited store-queue depth).
@@ -42,26 +42,6 @@ type sbEntry struct {
 	val  uint64
 	w    uint8
 }
-
-// opDrainsSB marks opcodes that drain the executing thread's store buffer
-// before the instruction's own memory semantics run: fences (their whole
-// point), atomics (globally-visible ordering points on every machine),
-// external calls (the host reads guest memory directly), memory-indirect
-// jumps (the jump-table load bypasses loadMem), and machine-stopping ops.
-var opDrainsSB = func() [mx.NumOps]bool {
-	var t [mx.NumOps]bool
-	for op := mx.Op(0); op < mx.NumOps; op++ {
-		if (mx.Inst{Op: op}).IsAtomic() {
-			t[op] = true
-		}
-	}
-	t[mx.MFENCE] = true
-	t[mx.CALLX] = true
-	t[mx.JMPM] = true
-	t[mx.SYSCALL] = true
-	t[mx.HLT] = true
-	return t
-}()
 
 // drainSB flushes t's buffered stores to memory in FIFO order. Entries were
 // validated as mapped when buffered, so the stores cannot fault.
@@ -76,25 +56,35 @@ func (m *Machine) drainSB(t *Thread) {
 	}
 }
 
-// sbLoad attempts store-to-load forwarding from t's buffer. hit means val
-// holds the newest buffered store to exactly (addr, w); overlap means some
-// buffered store intersects the loaded range without matching exactly, so
-// the caller must drain before loading from memory.
-func (t *Thread) sbLoad(addr uint64, w int) (val uint64, hit, overlap bool) {
+// fence makes t's buffered stores globally visible: the drain the ordering
+// ops (atomics, MFENCE, CALLX, JMPM, SYSCALL, HLT) perform before their own
+// semantics. TSO threads never buffer, so there it is one length check.
+func (m *Machine) fence(t *Thread) {
+	if len(t.sbuf) > 0 {
+		m.drainSB(t)
+	}
+}
+
+// forward attempts store-to-load forwarding from t's buffer: hit means val
+// is the newest buffered store to exactly (addr, w). A buffered store that
+// intersects the loaded range without matching it exactly drains the
+// buffer instead, so the caller's memory load reads the merged bytes.
+func (m *Machine) forward(t *Thread, addr uint64, w int) (val uint64, hit bool) {
 	end := addr + uint64(w)
 	for i := len(t.sbuf) - 1; i >= 0; i-- {
 		e := &t.sbuf[i]
 		if e.addr == addr && int(e.w) == w {
-			return e.val, true, false
+			return e.val, true
 		}
 		if e.addr < end && addr < e.addr+uint64(e.w) {
-			return 0, false, true
+			m.drainSB(t)
+			return 0, false
 		}
 	}
-	return 0, false, false
+	return 0, false
 }
 
-// storeBuffered is storeMem's weak-mode path: validate the target (fault
+// storeBuffered is the store seam's weak-mode path: validate the target (fault
 // attribution is identical to the direct path), then buffer the store.
 // Stores into watched executable ranges write through after a drain, so
 // self-modifying code invalidates the predecode cache at store time, in

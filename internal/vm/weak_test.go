@@ -145,14 +145,14 @@ func TestCountersFenceAndSpillAccounting(t *testing.T) {
 		b.MovRR(mx.RBP, mx.RSP)
 		b.I(mx.Inst{Op: mx.SUBRI, Dst: mx.RSP, Imm: 32})
 		b.MovRI(mx.RDX, 41)
-		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBP, Disp: -8})  // spill
+		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBP, Disp: -8}) // spill
 		b.I(mx.Inst{Op: mx.MFENCE})
-		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RAX, Base: mx.RBP, Disp: -8})   // spill
-		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBP, Disp: -16})  // spill
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RAX, Base: mx.RBP, Disp: -8})  // spill
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBP, Disp: -16}) // spill
 		b.I(mx.Inst{Op: mx.MFENCE})
 		b.MovSym(mx.RBX, "g")
-		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBX})            // control: global base
-		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBX, Disp: 8})    // control: positive disp
+		b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RBX})         // control: global base
+		b.I(mx.Inst{Op: mx.LOAD64, Dst: mx.RCX, Base: mx.RBX, Disp: 8}) // control: positive disp
 		b.MovRR(mx.RDI, mx.RAX)
 		b.I(mx.Inst{Op: mx.ADDRI, Dst: mx.RDI, Imm: 1})
 		b.CallExt("exit")
