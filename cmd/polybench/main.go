@@ -241,12 +241,12 @@ func main() {
 	if *xisa || *xisaOut != "" {
 		any = true
 		run("Cross-ISA", func() (string, error) {
-			entries, txt, err := h.XISATable()
+			rows, txt, err := h.XISATable()
 			if err != nil {
 				return "", err
 			}
 			if *xisaOut != "" {
-				if werr := bench.WriteXISA(*xisaOut, entries); werr != nil {
+				if werr := bench.WriteRecord(*xisaOut, rows); werr != nil {
 					return "", werr
 				}
 			}

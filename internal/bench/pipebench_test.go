@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"os"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,20 +13,8 @@ import (
 	"repro/internal/image"
 )
 
-// pipeBenchEntries collects the latest measurement per (name, mode);
-// TestMain serializes them to BENCH_pipeline.json after the benchmarks run.
-var (
-	pipeBenchMu      sync.Mutex
-	pipeBenchEntries = map[string]PipelineBenchEntry{}
-)
-
-func recordPipeBench(e PipelineBenchEntry) {
-	pipeBenchMu.Lock()
-	defer pipeBenchMu.Unlock()
-	// testing.B re-runs each benchmark with increasing b.N; keep only the
-	// final (largest, most precise) measurement per variant.
-	pipeBenchEntries[e.Name+"/"+e.Mode] = e
-}
+// pipeRec collects BENCH_pipeline.json; TestMain flushes it.
+var pipeRec = NewRecorder("BENCH_pipeline.json")
 
 // pipeBenchSrc builds the pipeline benchmark workload: nDirect statically
 // reachable worker functions (real lift/optimize load for the full-recompile
@@ -81,7 +68,10 @@ func pipeBenchImage(tb testing.TB) *image.Image {
 	return img
 }
 
-// pipeMode is one pipeline configuration under benchmark.
+// pipeMode is one pipeline configuration under benchmark. "serial" is the
+// historical baseline (-jpipe 1, function cache off); "parallel" fans out
+// to -jpipe NumCPU, cold; "cached" adds the content-addressed function
+// cache.
 type pipeMode struct {
 	name    string
 	workers int  // core.Options.Workers (0 = NumCPU)
@@ -89,9 +79,9 @@ type pipeMode struct {
 }
 
 var pipeModes = []pipeMode{
-	{PipeModeSerial, 1, false},
-	{PipeModeParallel, 0, false}, // fan-out only; every iteration lifts cold
-	{PipeModeCached, 0, true},
+	{"serial", 1, false},
+	{"parallel", 0, false}, // fan-out only; every iteration lifts cold
+	{"cached", 0, true},
 }
 
 func (m pipeMode) options() core.Options {
@@ -101,18 +91,37 @@ func (m pipeMode) options() core.Options {
 	return o
 }
 
-func (m pipeMode) effectiveWorkers(h *Harness) int {
-	if m.workers > 0 {
-		return m.workers
+// row starts the mode's BENCH_pipeline.json row for the named benchmark.
+func (m pipeMode) row(h *Harness, name string) Row {
+	workers := m.workers
+	if workers == 0 {
+		workers = h.PipelineWorkers()
 	}
-	return h.PipelineWorkers()
+	return Row{
+		Layer:  "pipeline",
+		Name:   name,
+		Params: map[string]string{"mode": m.name, "workers": strconv.Itoa(workers)},
+	}
+}
+
+// pipeDet is the deterministic part of a pipeline row.
+func pipeDet(p *core.Project, recompiles int) map[string]int64 {
+	det := map[string]int64{
+		"funcs":        int64(p.Stats.Funcs),
+		"cache_hits":   int64(p.Stats.CacheHits),
+		"cache_misses": int64(p.Stats.CacheMisses),
+	}
+	if recompiles > 0 {
+		det["recompiles"] = int64(recompiles)
+	}
+	return det
 }
 
 // BenchmarkRecompile measures one full Recompile under each pipeline mode:
 // serial (-jpipe 1, cache off), parallel (-jpipe NumCPU, cold), and
-// cache-warm (every function replayed from the content-addressed cache). The
-// parallel and cached speedups over serial are the headline numbers of
-// BENCH_pipeline.json.
+// cache-warm (every function replayed from the content-addressed cache).
+// The parallel and cached gains over serial, read as ratios of the
+// BENCH_pipeline.json medians, are the headline numbers.
 func BenchmarkRecompile(b *testing.B) {
 	img := pipeBenchImage(b)
 	h := NewHarness(0)
@@ -122,29 +131,24 @@ func BenchmarkRecompile(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if mode.name == PipeModeCached {
+			if mode.cache {
 				// Warm the cache outside the timed region.
 				if _, err := p.Recompile(); err != nil {
 					b.Fatal(err)
 				}
 			}
+			samples := make([]time.Duration, b.N)
 			b.ResetTimer()
-			start := time.Now()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				if _, err := p.Recompile(); err != nil {
 					b.Fatal(err)
 				}
+				samples[i] = time.Since(start)
 			}
-			elapsed := time.Since(start)
-			recordPipeBench(PipelineBenchEntry{
-				Name:        "Recompile",
-				Mode:        mode.name,
-				Workers:     mode.effectiveWorkers(h),
-				Funcs:       p.Stats.Funcs,
-				CacheHits:   p.Stats.CacheHits,
-				CacheMisses: p.Stats.CacheMisses,
-				Seconds:     elapsed.Seconds() / float64(b.N),
-			})
+			row := mode.row(h, "Recompile")
+			row.Det = pipeDet(p, 0)
+			pipeRec.Add(row.Timed(samples))
 		})
 	}
 }
@@ -159,16 +163,14 @@ func BenchmarkAdditiveLoop(b *testing.B) {
 	img := pipeBenchImage(b)
 	h := NewHarness(0)
 	in := core.Input{Data: []byte("abcdefghijkl"), Seed: 1}
-	for _, mode := range []pipeMode{
-		{PipeModeSerial, 1, false},
-		{PipeModeCached, 0, true},
-	} {
+	for _, mode := range []pipeMode{{"serial", 1, false}, {"cached", 0, true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			var last *core.Project
 			var recompiles int
+			samples := make([]time.Duration, b.N)
 			b.ResetTimer()
-			start := time.Now()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				// The additive loop mutates the CFG, so every iteration
 				// starts from a fresh project (disasm included, both modes).
 				p, err := core.NewProject(img, mode.options())
@@ -179,80 +181,25 @@ func BenchmarkAdditiveLoop(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				samples[i] = time.Since(start)
 				last, recompiles = p, res.Recompiles
 			}
-			elapsed := time.Since(start)
-			recordPipeBench(PipelineBenchEntry{
-				Name:        "AdditiveLoop",
-				Mode:        mode.name,
-				Workers:     mode.effectiveWorkers(h),
-				Funcs:       last.Stats.Funcs,
-				Recompiles:  recompiles,
-				CacheHits:   last.Stats.CacheHits,
-				CacheMisses: last.Stats.CacheMisses,
-				Seconds:     elapsed.Seconds() / float64(b.N),
-			})
+			row := mode.row(h, "AdditiveLoop")
+			row.Det = pipeDet(last, recompiles)
+			pipeRec.Add(row.Timed(samples))
 		})
 	}
 }
 
-func TestPipelineBenchReportSpeedups(t *testing.T) {
-	r := NewPipelineBenchReport([]PipelineBenchEntry{
-		{Name: "Recompile", Mode: PipeModeCached, Seconds: 0.25},
-		{Name: "Recompile", Mode: PipeModeSerial, Seconds: 1.0},
-		{Name: "Recompile", Mode: PipeModeParallel, Seconds: 0.5},
-		{Name: "Orphan", Mode: PipeModeParallel, Seconds: 0.5}, // no serial baseline
-	})
-	if got := len(r.Speedups); got != 2 {
-		t.Fatalf("speedups = %v, want 2 entries", r.Speedups)
-	}
-	if s := r.Speedups["Recompile/parallel"]; math.Abs(s-2.0) > 1e-12 {
-		t.Errorf("parallel speedup = %v, want 2.0", s)
-	}
-	if s := r.Speedups["Recompile/cached"]; math.Abs(s-4.0) > 1e-12 {
-		t.Errorf("cached speedup = %v, want 4.0", s)
-	}
-	// Deterministic ordering: by name, then mode.
-	for i := 1; i < len(r.Benchmarks); i++ {
-		a, b := r.Benchmarks[i-1], r.Benchmarks[i]
-		if a.Name > b.Name || (a.Name == b.Name && a.Mode > b.Mode) {
-			t.Fatalf("benchmarks not sorted: %v before %v", a, b)
-		}
-	}
-}
-
-// TestMain emits BENCH_pipeline.json when the pipeline benchmarks ran and
-// BENCH_obs.json when the observability differentials ran (the files land in
-// this package directory, the test binary's working directory). Plain
-// `go test` runs record nothing and write nothing.
+// TestMain writes BENCH_pipeline.json and BENCH_obs.json when their
+// benchmarks ran (the files land in this package directory, the test
+// binary's working directory). Plain `go test` runs write nothing.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	pipeBenchMu.Lock()
-	entries := make([]PipelineBenchEntry, 0, len(pipeBenchEntries))
-	for _, e := range pipeBenchEntries {
-		entries = append(entries, e)
-	}
-	pipeBenchMu.Unlock()
-	if len(entries) > 0 {
-		if err := WritePipelineBench("BENCH_pipeline.json", entries); err != nil {
-			os.Stderr.WriteString("BENCH_pipeline.json: " + err.Error() + "\n")
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	obsBenchMu.Lock()
-	obsEntries := make([]ObsBenchEntry, 0, len(obsBenchEntries))
-	for _, e := range obsBenchEntries {
-		obsEntries = append(obsEntries, e)
-	}
-	obsBenchMu.Unlock()
-	if len(obsEntries) > 0 {
-		if err := WriteObsBench("BENCH_obs.json", obsEntries); err != nil {
-			os.Stderr.WriteString("BENCH_obs.json: " + err.Error() + "\n")
-			if code == 0 {
-				code = 1
-			}
+	for _, rec := range []*Recorder{pipeRec, obsRec} {
+		if err := rec.Flush(); err != nil {
+			os.Stderr.WriteString(err.Error() + "\n")
+			code = max(code, 1)
 		}
 	}
 	os.Exit(code)

@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -21,12 +20,16 @@ import (
 //   - the weakly-ordered mx64w backend emits real fences (>0), and the
 //     spinloop-detection fence optimization reduces that count;
 //   - both targets' recompiled binaries pass their workload checks, and the
-//     per-target code sizes and guest-instruction throughputs are recorded
-//     for trend tracking.
+//     per-target code sizes, guest instructions and simulated cycles are
+//     recorded for trend tracking.
+//
+// Every cell is deterministic (untimed rows: Det only), so the record and
+// the printed table are identical across runs and worker counts.
 //
 // The regenerated file is committed at internal/bench/BENCH_xisa.json; CI
-// regenerates it, asserts the fence invariants, and uploads the fresh file
-// as a workflow artifact (cross-ISA smoke job).
+// regenerates it, asserts the fence invariants, diffs its rows against the
+// committed file, and uploads the fresh file as a workflow artifact
+// (cross-ISA smoke job).
 
 // xisaWorkloads names the measured set: three Phoenix-style programs with
 // distinct fence-optimization outcomes (linear_regression is provable,
@@ -36,110 +39,52 @@ var xisaWorkloads = []string{"linear_regression", "word_count", "histogram"}
 // xisaTargets is the measured target sweep.
 var xisaTargets = []string{"mx64", "mx64w"}
 
-// XISAEntry is one (workload × target × fence-opt) measurement.
-type XISAEntry struct {
-	Workload string `json:"workload"`
-	Target   string `json:"target"`
-	FenceOpt bool   `json:"fence_opt"`
-	// CodeSize is the lowered image's code size in instructions.
-	CodeSize int `json:"code_size"`
-	// Fences is the number of fence instructions lowering emitted.
-	Fences int `json:"fences"`
-	// Insts/Seconds/InstsPerSec time one run of the recompiled binary.
-	Insts       uint64  `json:"insts"`
-	Seconds     float64 `json:"seconds"`
-	InstsPerSec float64 `json:"insts_per_sec"`
-}
-
-// XISAReport is the BENCH_xisa.json document.
-type XISAReport struct {
-	Benchmarks []XISAEntry `json:"benchmarks"`
-	// FencesByConfig sums emitted fences per configuration, keyed
-	// "<target>" and "<target>+fo" — the CI smoke job's assertion surface.
-	FencesByConfig map[string]int `json:"fences_by_config"`
-}
-
-// NewXISAReport assembles a report with the per-configuration fence sums.
-func NewXISAReport(entries []XISAEntry) *XISAReport {
-	r := &XISAReport{
-		Benchmarks:     append([]XISAEntry(nil), entries...),
-		FencesByConfig: map[string]int{},
-	}
-	sort.SliceStable(r.Benchmarks, func(i, j int) bool {
-		a, b := r.Benchmarks[i], r.Benchmarks[j]
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Target != b.Target {
-			return a.Target < b.Target
-		}
-		return !a.FenceOpt && b.FenceOpt
-	})
-	for _, e := range r.Benchmarks {
-		key := e.Target
-		if e.FenceOpt {
-			key += "+fo"
-		}
-		r.FencesByConfig[key] += e.Fences
-	}
-	return r
-}
-
-// WriteXISA writes the report for entries to path as indented JSON.
-func WriteXISA(path string, entries []XISAEntry) error {
-	data, err := json.MarshalIndent(NewXISAReport(entries), "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshal %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // XISATable measures every (workload × target × fence-opt) cell. Each cell
 // recompiles for its own target — the sweep deliberately ignores the
-// harness-wide -target setting — and times one checked run of the result.
-func (h *Harness) XISATable() ([]XISAEntry, string, error) {
+// harness-wide -target setting — and runs the result once, checked.
+func (h *Harness) XISATable() ([]Row, string, error) {
 	defer h.trackWall(time.Now())
 	cfgs := len(xisaTargets) * 2
-	entries := make([]XISAEntry, len(xisaWorkloads)*cfgs)
-	err := h.forEach(len(entries), func(ci int) error {
+	rows := make([]Row, len(xisaWorkloads)*cfgs)
+	err := h.forEach(len(rows), func(ci int) error {
 		w := workloads.ByName(xisaWorkloads[ci/cfgs])
 		target := xisaTargets[(ci%cfgs)/2]
 		fo := ci%2 == 1
-		e, err := h.xisaCell(w, target, fo)
+		r, err := h.xisaCell(w, target, fo)
 		if err != nil {
 			return fmt.Errorf("%s target=%s fo=%v: %w", w.Name, target, fo, err)
 		}
-		entries[ci] = e
+		rows[ci] = r
 		return nil
 	})
 	if err != nil {
 		return nil, "", err
 	}
-	return entries, formatXISA(entries), nil
+	return rows, formatXISA(rows), nil
 }
 
 // xisaCell recompiles w for target (full pipeline: trace, optional fence
-// optimization with the perfTable forced-removal convention) and times one
-// checked run of the recompiled binary.
-func (h *Harness) xisaCell(w *workloads.Workload, target string, fenceOpt bool) (XISAEntry, error) {
+// optimization with the perfTable forced-removal convention) and runs the
+// recompiled binary once, checked.
+func (h *Harness) xisaCell(w *workloads.Workload, target string, fenceOpt bool) (Row, error) {
 	img, err := w.Compile(2)
 	if err != nil {
-		return XISAEntry{}, err
+		return Row{}, err
 	}
 	o := h.coreOptions()
 	o.Target = target
 	p, err := core.NewProject(img, o)
 	if err != nil {
-		return XISAEntry{}, err
+		return Row{}, err
 	}
 	defer h.stats.absorb(p)
 	if _, err := p.Trace([]core.Input{w.Input()}); err != nil {
-		return XISAEntry{}, err
+		return Row{}, err
 	}
 	if fenceOpt {
 		rep, err := p.FenceOptimize([]core.Input{w.Input()})
 		if err != nil {
-			return XISAEntry{}, err
+			return Row{}, err
 		}
 		if !rep.FencesRemovable {
 			p.ForceFenceRemoval()
@@ -147,54 +92,53 @@ func (h *Harness) xisaCell(w *workloads.Workload, target string, fenceOpt bool) 
 	}
 	rec, err := p.Recompile()
 	if err != nil {
-		return XISAEntry{}, err
+		return Row{}, err
 	}
-	t0 := time.Now()
 	res, err := runOnce(w, rec)
-	secs := time.Since(t0).Seconds()
 	if err != nil {
-		return XISAEntry{}, err
+		return Row{}, err
 	}
 	if err := w.Check(res); err != nil {
-		return XISAEntry{}, err
+		return Row{}, err
 	}
-	e := XISAEntry{
-		Workload: w.Name,
-		Target:   target,
-		FenceOpt: fenceOpt,
-		CodeSize: p.Stats.CodeSize,
-		Fences:   p.Stats.Fences,
-		Insts:    res.Insts,
-		Seconds:  secs,
-	}
-	if secs > 0 {
-		e.InstsPerSec = float64(res.Insts) / secs
-	}
-	return e, nil
+	return Row{
+		Layer:  "xisa",
+		Name:   w.Name,
+		Params: map[string]string{"target": target, "fence_opt": strconv.FormatBool(fenceOpt)},
+		Det: map[string]int64{
+			"code_size": int64(p.Stats.CodeSize),
+			"fences":    int64(p.Stats.Fences),
+			"insts":     int64(res.Insts),
+			"cycles":    int64(res.Cycles),
+		},
+	}, nil
 }
 
-func formatXISA(entries []XISAEntry) string {
-	rep := NewXISAReport(entries)
+func formatXISA(rows []Row) string {
+	rows = append([]Row(nil), rows...)
+	sortRows(rows)
 	var sb strings.Builder
-	sb.WriteString("Cross-ISA: per-target code size, emitted fences, guest throughput\n")
+	sb.WriteString("Cross-ISA: per-target code size, emitted fences, simulated cycles\n")
 	fmt.Fprintf(&sb, "%-20s %-7s %-4s %-10s %-8s %s\n",
-		"Workload", "Target", "FO", "CodeSize", "Fences", "GuestInsts/s")
-	for _, e := range rep.Benchmarks {
-		fo := "-"
-		if e.FenceOpt {
-			fo = "on"
+		"Workload", "Target", "FO", "CodeSize", "Fences", "Cycles")
+	fences := map[string]int64{} // per configuration: "<target>", "<target>+fo"
+	for _, r := range rows {
+		fo, cfg := "-", r.Params["target"]
+		if r.Params["fence_opt"] == "true" {
+			fo, cfg = "on", cfg+"+fo"
 		}
-		fmt.Fprintf(&sb, "%-20s %-7s %-4s %-10d %-8d %.0f\n",
-			e.Workload, e.Target, fo, e.CodeSize, e.Fences, e.InstsPerSec)
+		fences[cfg] += r.Det["fences"]
+		fmt.Fprintf(&sb, "%-20s %-7s %-4s %-10d %-8d %d\n",
+			r.Name, r.Params["target"], fo, r.Det["code_size"], r.Det["fences"], r.Det["cycles"])
 	}
-	keys := make([]string, 0, len(rep.FencesByConfig))
-	for k := range rep.FencesByConfig {
-		keys = append(keys, k)
+	cfgs := make([]string, 0, len(fences))
+	for k := range fences {
+		cfgs = append(cfgs, k)
 	}
-	sort.Strings(keys)
+	sort.Strings(cfgs)
 	sb.WriteString("\nTotal emitted fences per configuration:\n")
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "  %-10s %d\n", k, rep.FencesByConfig[k])
+	for _, k := range cfgs {
+		fmt.Fprintf(&sb, "  %-10s %d\n", k, fences[k])
 	}
 	return sb.String()
 }

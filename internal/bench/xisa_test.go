@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/workloads"
@@ -19,49 +21,61 @@ func TestXISAFenceInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mx64.Fences != 0 {
-		t.Fatalf("mx64 emitted %d fences; TSO needs none", mx64.Fences)
+	if mx64.Det["fences"] != 0 {
+		t.Fatalf("mx64 emitted %d fences; TSO needs none", mx64.Det["fences"])
 	}
 	weak, err := h.xisaCell(w, "mx64w", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if weak.Fences == 0 {
+	if weak.Det["fences"] == 0 {
 		t.Fatal("mx64w emitted no fences")
 	}
 	weakFO, err := h.xisaCell(w, "mx64w", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if weakFO.Fences >= weak.Fences {
-		t.Fatalf("fence-opt did not reduce fences: %d -> %d", weak.Fences, weakFO.Fences)
+	if weakFO.Det["fences"] >= weak.Det["fences"] {
+		t.Fatalf("fence-opt did not reduce fences: %d -> %d", weak.Det["fences"], weakFO.Det["fences"])
 	}
-	if weak.CodeSize <= mx64.CodeSize {
+	if weak.Det["code_size"] <= mx64.Det["code_size"] {
 		t.Fatalf("register-poor mx64w code (%d insts) not larger than mx64 (%d)",
-			weak.CodeSize, mx64.CodeSize)
+			weak.Det["code_size"], mx64.Det["code_size"])
 	}
 }
 
-// TestXISAReportSums checks the per-configuration fence aggregation CI
-// asserts against.
-func TestXISAReportSums(t *testing.T) {
-	rep := NewXISAReport([]XISAEntry{
-		{Workload: "b", Target: "mx64w", FenceOpt: false, Fences: 3},
-		{Workload: "a", Target: "mx64w", FenceOpt: true, Fences: 1},
-		{Workload: "a", Target: "mx64", FenceOpt: false, Fences: 0},
-		{Workload: "a", Target: "mx64w", FenceOpt: false, Fences: 2},
+// TestFormatXISAFenceTotals checks the per-configuration fence totals the
+// cross-ISA table prints (and CI sums from the same rows), and that the
+// table lists rows in writer order whatever order they arrive in.
+func TestFormatXISAFenceTotals(t *testing.T) {
+	cell := func(w, target, fo string, fences int64) Row {
+		return Row{
+			Layer:  "xisa",
+			Name:   w,
+			Params: map[string]string{"target": target, "fence_opt": fo},
+			Det:    map[string]int64{"fences": fences},
+		}
+	}
+	out := formatXISA([]Row{
+		cell("b", "mx64w", "false", 3),
+		cell("a", "mx64w", "true", 1),
+		cell("a", "mx64", "false", 0),
+		cell("a", "mx64w", "false", 2),
 	})
-	if got := rep.FencesByConfig["mx64w"]; got != 5 {
-		t.Fatalf("mx64w sum = %d, want 5", got)
+	for _, want := range []string{
+		fmt.Sprintf("  %-10s %d\n", "mx64", 0),
+		fmt.Sprintf("  %-10s %d\n", "mx64w", 5),
+		fmt.Sprintf("  %-10s %d\n", "mx64w+fo", 1),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing total %q in:\n%s", want, out)
+		}
 	}
-	if got := rep.FencesByConfig["mx64w+fo"]; got != 1 {
-		t.Fatalf("mx64w+fo sum = %d, want 1", got)
+	lines := strings.Split(out, "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[2], "a ") || !strings.Contains(lines[2], "mx64 ") {
+		t.Fatalf("first row is not workload a on mx64:\n%s", out)
 	}
-	if got := rep.FencesByConfig["mx64"]; got != 0 {
-		t.Fatalf("mx64 sum = %d, want 0", got)
-	}
-	// Deterministic ordering: workload, then target, then fence-opt last.
-	if rep.Benchmarks[0].Workload != "a" || rep.Benchmarks[0].Target != "mx64" {
-		t.Fatalf("unexpected sort order: %+v", rep.Benchmarks[0])
+	if first, last := strings.Index(out, "\na "), strings.Index(out, "\nb "); first < 0 || last < first {
+		t.Fatalf("rows not in writer order:\n%s", out)
 	}
 }

@@ -248,7 +248,7 @@ func (p *Project) ctxErr() error {
 // cancelErr maps a guest-run result to the project's cancellation error
 // when the fault was forced by the request context; nil otherwise.
 func (p *Project) cancelErr(res vm.Result, what string) error {
-	if res.Fault == nil || !res.Fault.Cancelled {
+	if res.Fault == nil || res.Fault.Kind != vm.FaultCancelled {
 		return nil
 	}
 	cerr := p.ctxErr()

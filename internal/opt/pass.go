@@ -7,7 +7,7 @@
 // original-program memory accesses. The guest-memory forwarding pass in
 // particular can eliminate nothing across a fence, which is exactly why the
 // fence-removal optimization (§3.4, internal/spindet) unlocks further
-// off-the-shelf optimization and shows up as the FO speedups of Table 2.
+// off-the-shelf optimization and shows up as the FO gains of Table 2.
 package opt
 
 import (

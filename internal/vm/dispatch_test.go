@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -127,17 +128,20 @@ func checkDispatchIdentity(t *testing.T, w *workloads.Workload, img *image.Image
 
 // TestStackFaultPC pins fault attribution for the stack ops: with RSP in an
 // unmapped page, a PUSH, POP, CALL, CALLR or RET faults at its own address
-// (not its fallthrough), under both dispatch modes, counters off and on.
+// (not its fallthrough) with its stack fault text, under both dispatch
+// modes, counters off and on, on the TSO and the weak machine (whose stack
+// traffic goes through the store buffer).
 func TestStackFaultPC(t *testing.T) {
 	ops := []struct {
-		name string
-		emit func(b *asm.Builder)
+		name   string
+		emit   func(b *asm.Builder)
+		reason string
 	}{
-		{"push", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.PUSH, Dst: mx.RAX}) }},
-		{"pop", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.POP, Dst: mx.RAX}) }},
-		{"call", func(b *asm.Builder) { b.Call("leaf") }},
-		{"callr", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.CALLR, Dst: mx.RCX}) }},
-		{"ret", func(b *asm.Builder) { b.Ret() }},
+		{"push", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.PUSH, Dst: mx.RAX}) }, "stack overflow: push to unmapped 0x8"},
+		{"pop", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.POP, Dst: mx.RAX}) }, "pop from unmapped 0x10"},
+		{"call", func(b *asm.Builder) { b.Call("leaf") }, "stack overflow: push to unmapped 0x8"},
+		{"callr", func(b *asm.Builder) { b.I(mx.Inst{Op: mx.CALLR, Dst: mx.RCX}) }, "stack overflow: push to unmapped 0x8"},
+		{"ret", func(b *asm.Builder) { b.Ret() }, "pop from unmapped 0x10"},
 	}
 	for _, op := range ops {
 		t.Run(op.name, func(t *testing.T) {
@@ -156,23 +160,26 @@ func TestStackFaultPC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range dispatchModes {
-				for _, counted := range []bool{false, true} {
-					m, err := vm.New(img, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					m.SetDispatch(mode)
-					if counted {
-						m.EnableCounters()
-					}
-					res := m.Run(1_000_000)
-					if res.Fault == nil {
-						t.Fatalf("%v counted=%v: no fault; exit=%d", mode, counted, res.ExitCode)
-					}
-					if res.Fault.PC != syms["site"] {
-						t.Fatalf("%v counted=%v: fault %q at %#x, want the %s at %#x",
-							mode, counted, res.Fault.Reason, res.Fault.PC, op.name, syms["site"])
+			for _, machine := range []*image.Image{img, weakClone(img)} {
+				for _, mode := range dispatchModes {
+					for _, counted := range []bool{false, true} {
+						m, err := vm.New(machine, 1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m.SetDispatch(mode)
+						if counted {
+							m.EnableCounters()
+						}
+						res := m.Run(1_000_000)
+						where := fmt.Sprintf("%s %v counted=%v", machine.Machine, mode, counted)
+						if res.Fault == nil {
+							t.Fatalf("%s: no fault; exit=%d", where, res.ExitCode)
+						}
+						if res.Fault.PC != syms["site"] || res.Fault.Kind != vm.FaultGuest || res.Fault.Reason != op.reason {
+							t.Fatalf("%s: fault %q (kind %d) at %#x, want %q at the %s at %#x",
+								where, res.Fault.Reason, res.Fault.Kind, res.Fault.PC, op.reason, op.name, syms["site"])
+						}
 					}
 				}
 			}

@@ -245,8 +245,8 @@ func (m *Machine) stepThread(t *Thread) {
 	}
 }
 
-// The guest data-access seam: every handler data load and store (stack
-// traffic and the JMPM table load aside) goes through these
+// The guest data-access seam: every handler data load and store (the JMPM
+// table load aside; stack traffic has push and pop below) goes through these
 // width-specialized accessors. They skip Memory's generic width switch,
 // report faults at the instruction's own pc, and hold a weak machine's
 // store buffer (weak.go): loads forward from it, stores append to it. TSO
@@ -333,24 +333,36 @@ func (m *Machine) atomicLoad(t *Thread, pc, addr uint64) (uint64, bool) {
 }
 
 // push and pop are the stack accessors of PUSH/POP/CALL/CALLR/RET; pc is
-// the executing instruction, which a fault reports. Stack traffic writes
-// through to memory on every machine (weak.go).
+// the executing instruction, which a fault reports. Like the data seam
+// above, they hold a weak machine's store buffer: a push is a buffered
+// store and a pop forwards from the buffer.
 func (m *Machine) push(t *Thread, pc, v uint64) bool {
 	t.Regs[mx.RSP] -= 8
-	if !m.Mem.store64(t.Regs[mx.RSP], v) {
-		m.faultf(t, pc, "stack overflow: push to unmapped %#x", t.Regs[mx.RSP])
+	sp := t.Regs[mx.RSP]
+	if m.weak && m.Mem.Mapped(sp, 8) {
+		return m.storeMem64(t, pc, sp, v)
+	}
+	if !m.Mem.store64(sp, v) {
+		m.faultf(t, pc, "stack overflow: push to unmapped %#x", sp)
 		return false
 	}
 	return true
 }
 
 func (m *Machine) pop(t *Thread, pc uint64) (uint64, bool) {
-	v, ok := m.Mem.load64(t.Regs[mx.RSP])
+	sp := t.Regs[mx.RSP]
+	if len(t.sbuf) > 0 {
+		if v, hit := m.forward(t, sp, 8); hit {
+			t.Regs[mx.RSP] = sp + 8
+			return v, true
+		}
+	}
+	v, ok := m.Mem.load64(sp)
 	if !ok {
-		m.faultf(t, pc, "pop from unmapped %#x", t.Regs[mx.RSP])
+		m.faultf(t, pc, "pop from unmapped %#x", sp)
 		return 0, false
 	}
-	t.Regs[mx.RSP] += 8
+	t.Regs[mx.RSP] = sp + 8
 	return v, true
 }
 

@@ -175,8 +175,9 @@ var fusible = func() [mx.NumOps]bool {
 // sums. Compilation is lazy — the reference driver never pays for it — and
 // the write-watch invalidation contract needs no extra work here: stores
 // into code drop the whole codePage, handler table, fusion choices and all.
-// On a weak machine the inline plain load/store micro-ops, which bypass the
-// store buffer, give way to their handlers.
+// On a weak machine the inline memory and stack micro-ops and the inline
+// call/ret retirements, which bypass the store buffer, give way to their
+// handlers.
 func (cp *codePage) compile(weak bool) {
 	for off := 0; off < pageSize; off++ {
 		d := &cp.disp[off]
@@ -194,7 +195,7 @@ func (cp *codePage) compile(weak bool) {
 		d.h = opHandlers[op]
 		d.retire = retireOne
 		d.mop = mopOf[op]
-		if weak && d.mop >= mopLoad64 && d.mop <= mopStoreIdx64 {
+		if weak && d.mop >= mopLoad64 && d.mop <= mopPop {
 			d.mop = mopCall
 		}
 		d.runCost = uint32(costs[op])
@@ -217,12 +218,14 @@ func (cp *codePage) compile(weak bool) {
 			}
 			continue
 		case mx.CALL:
-			if tgt := int64(off) + int64(n) + int64(cp.insts[off].Disp); tgt >= 0 && tgt < pageSize && cp.insts[off].Disp != 0 {
+			if tgt := int64(off) + int64(n) + int64(cp.insts[off].Disp); !weak && tgt >= 0 && tgt < pageSize && cp.insts[off].Disp != 0 {
 				d.retire = retireCall
 			}
 			continue
 		case mx.RET:
-			d.retire = retireRet
+			if !weak {
+				d.retire = retireRet
+			}
 			continue
 		}
 		if fusible[op] {

@@ -2,8 +2,6 @@ package vm_test
 
 import (
 	"os"
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -51,128 +49,109 @@ func stepLoopImage(tb testing.TB) *image.Image {
 	return img
 }
 
-// runStepLoop executes the hot loop until fuel exhaustion under the given
-// dispatch engine and returns the instruction count and wall-clock time.
-func runStepLoop(tb testing.TB, img *image.Image, dispatch vm.DispatchMode, nocache bool) (uint64, time.Duration) {
+// stepVariant is one configuration of the step-loop benchmark.
+type stepVariant struct {
+	name     string
+	dispatch vm.DispatchMode
+	nocache  bool
+	counters bool
+}
+
+// runStepLoop executes the hot loop until fuel exhaustion under variant v
+// and returns the wall-clock time. With counters on, the counters must
+// agree with the result's instruction count.
+func runStepLoop(tb testing.TB, img *image.Image, v stepVariant) time.Duration {
 	m, err := vm.New(img, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m.SetDispatch(dispatch)
-	if nocache {
+	m.SetDispatch(v.dispatch)
+	if v.nocache {
 		m.DisableCache()
+	}
+	if v.counters {
+		m.EnableCounters()
 	}
 	start := time.Now()
 	res := m.Run(stepLoopFuel)
 	elapsed := time.Since(start)
-	if res.Fault == nil || !strings.Contains(res.Fault.Reason, "fuel exhausted") {
-		tb.Fatalf("expected fuel exhaustion, got fault=%v exit=%d", res.Fault, res.ExitCode)
+	if res.Fault == nil || res.Fault.Kind != vm.FaultFuel || res.Insts != stepLoopFuel {
+		tb.Fatalf("expected fuel exhaustion, got fault=%v exit=%d insts=%d", res.Fault, res.ExitCode, res.Insts)
 	}
-	return res.Insts, elapsed
+	if v.counters {
+		if c := m.Counters(); c == nil || c.Insts != res.Insts {
+			tb.Fatalf("counter insts mismatch: counters=%+v result insts=%d", c, res.Insts)
+		}
+	}
+	return elapsed
 }
 
-// vmBenchEntries collects the latest measurement per (name, dispatch, cache)
-// variant; TestMain serializes them to ../bench/BENCH_vm.json after the
-// benchmarks run.
-var (
-	vmBenchMu      sync.Mutex
-	vmBenchEntries = map[string]bench.VMBenchEntry{}
-)
+// vmRec collects BENCH_vm.json; TestMain flushes it to the committed record
+// in internal/bench.
+var vmRec = bench.NewRecorder("../bench/BENCH_vm.json")
 
-func recordVMBench(e bench.VMBenchEntry) {
-	vmBenchMu.Lock()
-	defer vmBenchMu.Unlock()
-	key := e.Name + "/" + e.Dispatch
-	if !e.Cache {
-		key += "/nocache"
-	}
-	// testing.B re-runs each benchmark with increasing b.N; keep only the
-	// final (largest, most precise) measurement per variant.
-	vmBenchEntries[key] = e
-}
-
-// BenchmarkStepLoop measures interpreter throughput in guest instructions
-// per second across the dispatch tiers: threaded code over predecoded pages
-// (every machine's default), the per-step reference driver over the same
-// predecode cache (DispatchSwitch), and the reference driver decoding every
-// step (DisableCache, the pre-cache interpreter). The threaded-over-switch
-// ratio is the headline number in BENCH_vm.json.
+// BenchmarkStepLoop measures interpreter throughput across the dispatch
+// tiers: threaded code over predecoded pages (every machine's default), the
+// per-step reference driver over the same predecode cache (DispatchSwitch),
+// the reference driver decoding every step (DisableCache, the pre-cache
+// interpreter), and the threaded default with machine counters on (which
+// routes the run to the reference driver; the observability differential).
+// Every run retires stepLoopFuel instructions; BENCH_vm.json records the
+// seconds per run, and the threaded-over-switch ratio of their medians is
+// the headline number.
 func BenchmarkStepLoop(b *testing.B) {
 	img := stepLoopImage(b)
-	variants := []struct {
-		name     string
-		dispatch vm.DispatchMode
-		nocache  bool
-	}{
-		{"threaded", vm.DispatchThreaded, false},
-		{"switch", vm.DispatchSwitch, false},
-		{"nocache", vm.DispatchSwitch, true},
+	variants := []stepVariant{
+		{"threaded", vm.DispatchThreaded, false, false},
+		{"switch", vm.DispatchSwitch, false, false},
+		{"nocache", vm.DispatchSwitch, true, false},
+		{"counters", vm.DispatchThreaded, false, true},
 	}
-	for _, variant := range variants {
-		b.Run(variant.name, func(b *testing.B) {
-			var insts uint64
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
 			var elapsed time.Duration
 			for i := 0; i < b.N; i++ {
-				n, d := runStepLoop(b, img, variant.dispatch, variant.nocache)
-				insts += n
-				elapsed += d
+				elapsed += runStepLoop(b, img, v)
 			}
-			b.ReportMetric(float64(insts)/elapsed.Seconds(), "insts/s")
+			b.ReportMetric(float64(b.N)*stepLoopFuel/elapsed.Seconds(), "insts/s")
 		})
 	}
 	// Recording pass: the sub-benchmarks above are the human-readable
 	// display, but they measure the variants sequentially, seconds apart —
 	// on a busy or frequency-scaled host the machine's throughput drifts
-	// between them and the recorded ratios inherit that drift. The entries
+	// between them and ratios between them inherit that drift. The rows
 	// written to BENCH_vm.json instead come from this round-robin pass,
 	// which interleaves the variants so any drift biases all of them
-	// equally and the speedup ratios stay meaningful.
-	accs := make([]struct {
-		insts   uint64
-		elapsed time.Duration
-	}, len(variants))
+	// equally; each post-warm-up round is one sample per variant.
 	const rounds = 24
+	samples := make([][]time.Duration, len(variants))
 	for r := 0; r < rounds; r++ {
-		for vi, variant := range variants {
-			n, d := runStepLoop(b, img, variant.dispatch, variant.nocache)
-			if r == 0 {
-				continue // warmup round: cold caches and branch predictors
+		for vi, v := range variants {
+			d := runStepLoop(b, img, v)
+			if r > 0 { // round 0 warms caches and branch predictors
+				samples[vi] = append(samples[vi], d)
 			}
-			accs[vi].insts += n
-			accs[vi].elapsed += d
 		}
 	}
-	for vi, variant := range variants {
-		recordVMBench(bench.VMBenchEntry{
-			Name:        "StepLoop",
-			Dispatch:    variant.dispatch.String(),
-			Cache:       !variant.nocache,
-			Insts:       accs[vi].insts,
-			Seconds:     accs[vi].elapsed.Seconds(),
-			InstsPerSec: float64(accs[vi].insts) / accs[vi].elapsed.Seconds(),
-		})
+	for vi, v := range variants {
+		vmRec.Add(bench.Row{
+			Layer:  "vm",
+			Name:   "StepLoop",
+			Params: map[string]string{"variant": v.name},
+			Det:    map[string]int64{"insts": stepLoopFuel},
+		}.Timed(samples[vi]))
 	}
 }
 
-// TestMain emits the regenerated BENCH_vm.json when benchmarks ran (the test
-// binary's working directory is this package, so the committed record at
-// internal/bench/BENCH_vm.json is overwritten in place). Plain `go test`
-// runs record nothing and write nothing.
+// TestMain writes the regenerated BENCH_vm.json when benchmarks ran (the
+// test binary's working directory is this package, so the committed record
+// at internal/bench/BENCH_vm.json is overwritten in place). Plain `go test`
+// runs write nothing.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	vmBenchMu.Lock()
-	entries := make([]bench.VMBenchEntry, 0, len(vmBenchEntries))
-	for _, e := range vmBenchEntries {
-		entries = append(entries, e)
-	}
-	vmBenchMu.Unlock()
-	if len(entries) > 0 {
-		if err := bench.WriteVMBench("../bench/BENCH_vm.json", entries); err != nil {
-			os.Stderr.WriteString("BENCH_vm.json: " + err.Error() + "\n")
-			if code == 0 {
-				code = 1
-			}
-		}
+	if err := vmRec.Flush(); err != nil {
+		os.Stderr.WriteString(err.Error() + "\n")
+		code = max(code, 1)
 	}
 	os.Exit(code)
 }

@@ -90,14 +90,28 @@ type hostFrame interface {
 	resume(m *Machine, t *Thread, ret uint64) (done bool, err error)
 }
 
+// FaultKind classifies an abnormal machine stop.
+type FaultKind uint8
+
+const (
+	// FaultGuest: the guest did something illegal (unmapped access,
+	// illegal instruction, a failing external call).
+	FaultGuest FaultKind = iota
+	// FaultFuel: the run's instruction budget ran out.
+	FaultFuel
+	// FaultDeadlock: live threads remain but none can run.
+	FaultDeadlock
+	// FaultCancelled: the machine's cancel signal (SetCancel) stopped the
+	// run, not guest behavior.
+	FaultCancelled
+)
+
 // Fault describes an abnormal machine stop.
 type Fault struct {
 	Thread int
 	PC     uint64
 	Reason string
-	// Cancelled marks a stop forced by the machine's cancel signal
-	// (SetCancel) rather than by guest behavior.
-	Cancelled bool
+	Kind   FaultKind
 }
 
 func (f *Fault) Error() string {
@@ -208,7 +222,7 @@ type Machine struct {
 	extFrom   int
 
 	// cancel, when non-nil, is polled at scheduling boundaries (SetCancel);
-	// once closed, Run stops with a Cancelled fault.
+	// once closed, Run stops with a FaultCancelled fault.
 	cancel      <-chan struct{}
 	cancelCheck uint64 // next insts value at which Run polls cancel
 
@@ -280,8 +294,8 @@ func NewWithExts(img *image.Image, seed int64, exts map[string]ExtFunc) (*Machin
 func (m *Machine) SetInput(p []byte) { m.input = append([]byte(nil), p...) }
 
 // SetCancel installs a cancellation signal: once ch is closed, a running
-// Run stops within a bounded number of instructions with a Cancelled fault
-// instead of executing to completion — the seam that lets a request-scoped
+// Run stops within a bounded number of instructions with a FaultCancelled
+// fault instead of executing to completion — the seam that lets a request-scoped
 // context (a disconnected daemon client) reclaim a guest run. The default
 // nil channel is never polled, so uncancellable runs pay only a nil check
 // per scheduling quantum; with a channel installed the poll is amortized
@@ -410,7 +424,7 @@ func (m *Machine) Run(fuel uint64) Result {
 		if m.cancel != nil && m.insts >= m.cancelCheck {
 			m.cancelCheck = m.insts + cancelPollInsts
 			if m.cancelled() {
-				m.fault = &Fault{Reason: "run cancelled", Cancelled: true}
+				m.fault = &Fault{Reason: "run cancelled", Kind: FaultCancelled}
 				break
 			}
 		}
@@ -428,7 +442,7 @@ func (m *Machine) Run(fuel uint64) Result {
 				m.exitCode = int(int64(m.threads[0].ExitValue))
 				break
 			}
-			m.fault = &Fault{Reason: "deadlock: no runnable threads"}
+			m.fault = &Fault{Reason: "deadlock: no runnable threads", Kind: FaultDeadlock}
 			break
 		}
 		if !threaded {
@@ -463,7 +477,7 @@ func (m *Machine) Run(fuel uint64) Result {
 		m.drainSB(m.sbOwner)
 	}
 	if !m.exited && m.fault == nil && m.insts >= fuel {
-		m.fault = &Fault{Reason: fmt.Sprintf("fuel exhausted after %d instructions", m.insts)}
+		m.fault = &Fault{Reason: fmt.Sprintf("fuel exhausted after %d instructions", m.insts), Kind: FaultFuel}
 	}
 	if m.sink != nil && m.ctr != nil {
 		// Hand this run's deltas to the sink and start fresh, so a machine
@@ -484,7 +498,7 @@ func (m *Machine) Run(fuel uint64) Result {
 
 func (m *Machine) faultf(t *Thread, pc uint64, format string, args ...any) {
 	if m.fault == nil {
-		m.fault = &Fault{Thread: t.ID, PC: pc, Reason: fmt.Sprintf(format, args...)}
+		m.fault = &Fault{Thread: t.ID, PC: pc, Reason: fmt.Sprintf(format, args...), Kind: FaultGuest}
 	}
 }
 

@@ -21,16 +21,15 @@ package vm
 // contract: on this machine the *target's code generator* is responsible
 // for ordering (emitting real fence instructions), not the machine, which
 // is what makes emitted-fence counts and the fence-optimization pass
-// measurable (§3.4). Stack traffic (PUSH/POP, CALL/RET return slots) and
-// instruction fetch bypass the buffer and access memory directly. That is
-// a known defect: a buffered plain store to a stack slot that a later PUSH
-// overwrites drains over the pushed value.
+// measurable (§3.4). Instruction fetch bypasses the buffer.
 //
 // The buffer lives behind the handlers' width-specialized data-access seam
-// (loadMem8/32/64, storeMem8/32/64 in step.go), and each draining op's
-// handler calls fence before its own semantics, so both dispatch drivers
-// run weak machines. The threaded driver's inline 64-bit load/store
-// micro-ops skip the seam; compile() withholds them from weak machines.
+// (loadMem8/32/64, storeMem8/32/64 and the stack accessors push/pop in
+// step.go), and each draining op's handler calls fence before its own
+// semantics, so both dispatch drivers run weak machines. The threaded
+// driver's inline load/store and push/pop micro-ops and its inline
+// call/ret retirements skip the seam; compile() withholds them from weak
+// machines.
 
 // sbCap is the store-buffer capacity in entries; reaching it drains the
 // whole buffer (modeling limited store-queue depth).

@@ -169,3 +169,66 @@ func TestCountersFenceAndSpillAccounting(t *testing.T) {
 		t.Errorf("fence class = %d, want 2", c.OpClassCounts[vm.OpClassFence])
 	}
 }
+
+// TestWeakModeStackTrafficBuffered: on the weak machine stack traffic goes
+// through the store buffer like any other store, so a buffered plain store
+// to a stack slot cannot drain over a later PUSH or CALL to that slot. In
+// "push", STORE64 [rsp-8]=111; PUSH rax(222); MFENCE; POP rdi must give
+// 222; in "call", a return address pushed over a buffered store must
+// survive the callee's fence; in "ret", the return must forward the
+// still-buffered return address. Both dispatch drivers, counters off and on.
+func TestWeakModeStackTrafficBuffered(t *testing.T) {
+	progs := []struct {
+		name string
+		emit func(b *asm.Builder)
+	}{
+		{"push", func(b *asm.Builder) {
+			b.I(mx.Inst{Op: mx.PUSH, Dst: mx.RAX})
+			b.I(mx.Inst{Op: mx.MFENCE})
+			b.I(mx.Inst{Op: mx.POP, Dst: mx.RDI})
+			b.CallExt("exit")
+		}},
+		{"call", func(b *asm.Builder) {
+			b.MovRR(mx.RDI, mx.RAX)
+			b.Call("leaf") // same page: the threaded driver's inline call
+			b.CallExt("exit")
+			b.Label("leaf")
+			b.I(mx.Inst{Op: mx.MFENCE})
+			b.Ret()
+		}},
+		{"ret", func(b *asm.Builder) {
+			b.MovRR(mx.RDI, mx.RAX)
+			b.Call("leaf") // the return address is still buffered at the RET
+			b.CallExt("exit")
+			b.Label("leaf")
+			b.Ret()
+		}},
+	}
+	for _, p := range progs {
+		img := weakClone(build(t, func(b *asm.Builder) {
+			b.Entry("main")
+			b.Label("main")
+			b.MovRI(mx.RDX, 111)
+			b.I(mx.Inst{Op: mx.STORE64, Dst: mx.RDX, Base: mx.RSP, Disp: -8})
+			b.MovRI(mx.RAX, 222)
+			p.emit(b)
+		}))
+		for _, mode := range dispatchModes {
+			for _, counted := range []bool{false, true} {
+				m, err := vm.New(img, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.SetDispatch(mode)
+				if counted {
+					m.EnableCounters()
+				}
+				res := m.Run(1_000_000)
+				if res.Fault != nil || res.ExitCode != 222 {
+					t.Errorf("%s %v counted=%v: exit %d, fault %v; want exit 222",
+						p.name, mode, counted, res.ExitCode, res.Fault)
+				}
+			}
+		}
+	}
+}
